@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from scimetrics import Measure, SynthConfig, generate, series
+from scimetrics import Measure, SynthConfig, generate, series_grid
 
 REGIMES = ("classic", "growing", "hyper")
 MEASURES = (Measure.H, Measure.H_FRAC, Measure.H_M, Measure.C, Measure.C_FRAC)
@@ -35,13 +35,11 @@ def run(out_dir: Path, n_seeds: int, n_authors: int) -> None:
                 awards_per_year=20,
                 team_size_regime=regime,
             )
-            corpus = generate(config)
-            for measure in MEASURES:
-                result = series(
-                    corpus, measure, "tau_b",
-                    (config.award_start_year, config.end_year),
-                    horizon=0,
-                )
+            grid = series_grid(
+                generate(config), MEASURES, ["tau_b"],
+                (config.award_start_year, config.end_year), horizon=0,
+            )
+            for (measure, _), result in grid.items():
                 years = result.years
                 collected[measure].append(
                     [v if v is not None else np.nan for v in result.values]

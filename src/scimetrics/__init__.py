@@ -23,6 +23,7 @@ from .evaluation import (
     measure_correlation_matrix,
     predictive_power,
     series,
+    series_grid,
 )
 from .indices import Measure, compute_all, compute_measure
 from .rankcorr import (
@@ -70,6 +71,7 @@ __all__ = [
     "predictive_power",
     "roc_curve",
     "series",
+    "series_grid",
     "snapshot_at",
     "somers_d",
     "spearman_rho",

@@ -20,7 +20,7 @@ from . import evaluation, ingest, rankcorr, synth
 from .corpus import AuthorCorpus, snapshot_at
 from .errors import DegenerateInputError, ParseError
 from .evaluation import AuthorFilter, AwardScheme
-from .indices import Measure, compute_all
+from .indices import Measure, measure_columns
 
 ALL_MEASURES = [m.value for m in Measure]
 
@@ -100,11 +100,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_indices(args: argparse.Namespace) -> int:
     corpus, _ = _load_corpus(args.corpus)
     measures = _parse_measures(args.measures)
-    snapshot = snapshot_at(corpus, args.year)
+    ids = sorted(corpus.authors)
+    columns = measure_columns(snapshot_at(corpus, args.year), ids)
     rows = [["author_id"] + [m.value for m in measures]]
-    for author_id in sorted(corpus.authors):
-        values = compute_all(author_id, snapshot)
-        rows.append([author_id] + [_fmt(values[m]) for m in measures])
+    for i, author_id in enumerate(ids):
+        rows.append([author_id] + [_fmt(columns[m][i]) for m in measures])
     _atomic_write(Path(args.out), _csv_text(rows))
     return 0
 
@@ -150,6 +150,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.manifest:
         with open(args.manifest) as fh:
             config = json.load(fh)
+        unknown = set(config) - set(_evaluate_config(args))
+        if unknown:
+            raise ValueError(
+                f"{args.manifest}: unknown manifest keys {sorted(unknown)}"
+            )
         for key, value in config.items():
             if key != "command":
                 setattr(args, key, value)
@@ -157,26 +162,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     corpus, _ = _load_corpus(args.corpus)
     measures = _parse_measures(args.measures)
     criteria = [c.strip() for c in args.criteria.split(",")]
-    for criterion in criteria:
-        if criterion not in evaluation.CRITERIA:
-            raise ValueError(f"unknown criterion {criterion!r}")
-    year_range = _parse_year_range(args.years)
-    scheme = _scheme_from_args(args)
-    author_filter = _filter_from_args(args)
+    grid = evaluation.series_grid(
+        corpus, measures, criteria, _parse_year_range(args.years),
+        horizon=args.horizon, scheme=_scheme_from_args(args),
+        author_filter=_filter_from_args(args),
+    )
     out_dir = Path(args.out)
     outputs: dict[Path, str] = {}
-    for measure in measures:
-        for criterion in criteria:
-            result = evaluation.series(
-                corpus, measure, criterion, year_range,
-                horizon=args.horizon, scheme=scheme, author_filter=author_filter,
-            )
-            rows = [["year", "value", "n_authors"]]
-            for year, value, n in zip(result.years, result.values, result.n_authors):
-                rows.append(
-                    [str(year), "" if value is None else _fmt(value), str(n)]
-                )
-            outputs[out_dir / f"{measure.value}_{criterion}.csv"] = _csv_text(rows)
+    for (measure, criterion), result in grid.items():
+        rows = [["year", "value", "n_authors"]]
+        for year, value, n in zip(result.years, result.values, result.n_authors):
+            rows.append([str(year), "" if value is None else _fmt(value), str(n)])
+        outputs[out_dir / f"{measure.value}_{criterion}.csv"] = _csv_text(rows)
     outputs[out_dir / "manifest.json"] = (
         json.dumps(config, indent=2, sort_keys=True) + "\n"
     )
@@ -188,7 +185,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_roc(args: argparse.Namespace) -> int:
     corpus, _ = _load_corpus(args.corpus)
     measures = _parse_measures(args.measures)
-    snapshot = snapshot_at(corpus, args.year)
     ids = sorted(corpus.authors)
     scheme = _scheme_from_args(args)
     scores = evaluation.award_scores(corpus, args.year, scheme)
@@ -196,11 +192,10 @@ def cmd_roc(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     summary = [["measure", "auc", "status"]]
     outputs: dict[Path, str] = {}
-    per_author = {a: compute_all(a, snapshot) for a in ids}
+    columns = measure_columns(snapshot_at(corpus, args.year), ids)
     for measure in measures:
-        values = [per_author[a][measure] for a in ids]
         try:
-            curve = rankcorr.roc_curve(values, awards)
+            curve = rankcorr.roc_curve(columns[measure], awards)
         except DegenerateInputError:
             summary.append([measure.value, "", "degenerate"])
             continue

@@ -71,15 +71,10 @@ class AuthorProfile:
 
 @dataclass(frozen=True)
 class AuthorCorpus:
-    """Authors plus the award catalog their grants reference.
-
-    `platform` records the bibliographic source so downstream reports can
-    carry source-specific caveats (e.g. truncated author counts).
-    """
+    """Authors plus the award catalog their grants reference."""
 
     authors: dict[str, AuthorProfile] = field(default_factory=dict)
     catalog: dict[str, AwardCatalogEntry] = field(default_factory=dict)
-    platform: str | None = None
 
     def __post_init__(self):
         for author in self.authors.values():
@@ -88,9 +83,6 @@ class AuthorCorpus:
                     raise ValueError(
                         f"{author.author_id}: unknown award_id {grant.award_id!r}"
                     )
-
-    def author_ids(self) -> list[str]:
-        return sorted(self.authors)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from .corpus import (
     snapshot_at,
 )
 from .errors import DegenerateInputError
-from .indices import Measure, compute_all, compute_measure
+from .indices import Measure, measure_columns
 
 AWARD_MODES = ("equal_weight", "selective_weight", "binary")
 FILTER_MODES = ("all", "no_hyperauthors", "bottom_half_citations", "peak_in_window")
@@ -147,7 +147,7 @@ def apply_criterion(criterion: str, measure_values, award_values) -> float:
     if criterion == "tau_b":
         return rankcorr.kendall_tau_b(measure_values, award_values)
     if criterion == "auc":
-        return rankcorr.roc_auc(measure_values, award_values)
+        return rankcorr.roc_curve(measure_values, award_values).auc
     if criterion == "somers_d":
         return rankcorr.somers_d(measure_values, award_values)
     if criterion == "gamma":
@@ -157,29 +157,38 @@ def apply_criterion(criterion: str, measure_values, award_values) -> float:
     raise ValueError(f"unknown criterion {criterion!r}")
 
 
-def _evaluate(
+def _year_columns(
     corpus: AuthorCorpus,
-    measure: Measure,
-    criterion: str,
-    snapshot_year: int,
+    year: int,
     award_year: int,
     scheme: AwardScheme,
     author_filter: AuthorFilter,
-) -> float:
-    snapshot = snapshot_at(corpus, snapshot_year)
+) -> tuple[dict[Measure, list[float]], list[float]]:
+    """Measure columns at `year` and award scores by `award_year`, both
+    aligned with the authors the filter keeps."""
+    snapshot = snapshot_at(corpus, year)
     ids = apply_filter(corpus, snapshot, author_filter)
-    if len(ids) < 2:
-        raise DegenerateInputError(
-            f"fewer than 2 authors at year {snapshot_year} after filtering"
-        )
-    values = [compute_measure(a, snapshot, measure) for a in ids]
     scores = award_scores(corpus, award_year, scheme)
-    awards = [scores[a] for a in ids]
+    return measure_columns(snapshot, ids), [scores[a] for a in ids]
+
+
+def _cell(
+    measure: Measure,
+    criterion: str,
+    year: int,
+    columns: dict[Measure, list[float]],
+    awards: list[float],
+) -> float:
+    """One criterion value; a degenerate one names year, measure, criterion."""
+    if len(awards) < 2:
+        raise DegenerateInputError(
+            f"fewer than 2 authors at year {year} after filtering"
+        )
     try:
-        return apply_criterion(criterion, values, awards)
+        return apply_criterion(criterion, columns[measure], awards)
     except DegenerateInputError as exc:
         raise DegenerateInputError(
-            f"{criterion} degenerate at year {snapshot_year} "
+            f"{criterion} degenerate at year {year} "
             f"for measure {measure.value}: {exc}"
         ) from exc
 
@@ -193,7 +202,7 @@ def effectiveness(
     author_filter: AuthorFilter = AuthorFilter(),
 ) -> float:
     """Correlation of a measure's ranking with same-year award scores."""
-    return _evaluate(corpus, measure, criterion, year, year, scheme, author_filter)
+    return predictive_power(corpus, measure, criterion, year, 0, scheme, author_filter)
 
 
 def predictive_power(
@@ -206,9 +215,53 @@ def predictive_power(
     author_filter: AuthorFilter = AuthorFilter(),
 ) -> float:
     """Correlation of a measure at year Y with awards held by Y + horizon."""
-    return _evaluate(
-        corpus, measure, criterion, year, year + horizon, scheme, author_filter
-    )
+    columns, awards = _year_columns(corpus, year, year + horizon, scheme, author_filter)
+    return _cell(measure, criterion, year, columns, awards)
+
+
+def series_grid(
+    corpus: AuthorCorpus,
+    measures: list[Measure],
+    criteria: list[str],
+    year_range: tuple[int, int],
+    horizon: int = 0,
+    scheme: AwardScheme = AwardScheme(),
+    author_filter: AuthorFilter = AuthorFilter(),
+) -> dict[tuple[Measure, str], EvaluationSeries]:
+    """Per-year evaluation of every (measure, criterion) over [start, end].
+
+    Each year's snapshot, filter, award scores and measure columns are built
+    once and shared by all cells; degenerate cells become gaps.
+    """
+    start, end = year_range
+    if start > end:
+        raise ValueError("empty year range")
+    for criterion in criteria:
+        if criterion not in CRITERIA:
+            raise ValueError(f"unknown criterion {criterion!r}")
+    years = tuple(range(start, end + 1))
+    cells: dict[tuple[Measure, str], list[float | None]] = {
+        (m, c): [] for m in measures for c in criteria
+    }
+    counts = []
+    for year in years:
+        try:
+            columns, awards = _year_columns(
+                corpus, year, year + horizon, scheme, author_filter
+            )
+        except DegenerateInputError:  # the filter keeps nobody
+            columns, awards = {}, []
+        counts.append(len(awards))
+        for (measure, criterion), cell in cells.items():
+            try:
+                value = _cell(measure, criterion, year, columns, awards)
+            except DegenerateInputError:
+                value = None
+            cell.append(value)
+    return {
+        (m, c): EvaluationSeries(m, c, horizon, years, tuple(v), tuple(counts))
+        for (m, c), v in cells.items()
+    }
 
 
 def series(
@@ -221,36 +274,10 @@ def series(
     author_filter: AuthorFilter = AuthorFilter(),
 ) -> EvaluationSeries:
     """Per-year evaluation over [start, end]; degenerate years become gaps."""
-    start, end = year_range
-    if start > end:
-        raise ValueError("empty year range")
-    years = []
-    values: list[float | None] = []
-    counts = []
-    for year in range(start, end + 1):
-        years.append(year)
-        try:
-            snapshot = snapshot_at(corpus, year)
-            ids = apply_filter(corpus, snapshot, author_filter)
-            counts.append(len(ids))
-            values.append(
-                _evaluate(
-                    corpus, measure, criterion, year, year + horizon, scheme,
-                    author_filter,
-                )
-            )
-        except DegenerateInputError:
-            if len(counts) < len(years):
-                counts.append(0)
-            values.append(None)
-    return EvaluationSeries(
-        measure=measure,
-        criterion=criterion,
-        horizon=horizon,
-        years=tuple(years),
-        values=tuple(values),
-        n_authors=tuple(counts),
+    grid = series_grid(
+        corpus, [measure], [criterion], year_range, horizon, scheme, author_filter
     )
+    return grid[measure, criterion]
 
 
 def measure_correlation_matrix(
@@ -261,9 +288,7 @@ def measure_correlation_matrix(
     ids = sorted(corpus.authors)
     if len(ids) < 2:
         raise DegenerateInputError("need at least 2 authors")
-    snapshot = snapshot_at(corpus, year)
-    per_author = [compute_all(a, snapshot) for a in ids]
-    columns = {m: [vals[m] for vals in per_author] for m in measures}
+    columns = measure_columns(snapshot_at(corpus, year), ids)
     k = len(measures)
     matrix = np.full((k, k), np.nan)
     for i, mi in enumerate(measures):

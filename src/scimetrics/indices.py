@@ -11,7 +11,7 @@ import math
 import statistics
 from enum import Enum
 
-from .corpus import CitationVector, Snapshot, citation_vector
+from .corpus import NORMALIZERS, CitationVector, Snapshot, citation_vector
 
 
 class Measure(str, Enum):
@@ -45,8 +45,6 @@ FRACTIONAL = (
 COAUTHOR_NORMALIZED = (Measure.H_I, Measure.H_M, Measure.H_P, Measure.H_AP)
 
 FRAC_OF = dict(zip(FRACTIONAL, TRADITIONAL))
-
-_BASE_OF_FRAC = {f: t for f, t in zip(FRACTIONAL, TRADITIONAL)}
 
 
 def h_index(v: CitationVector) -> int:
@@ -135,17 +133,15 @@ def h_p_index(v: CitationVector) -> float:
 
 def h_ap_index(v: CitationVector) -> float:
     """h-style index on citations normalized by sqrt(author count)."""
-    normalized = sorted(
-        (c / math.sqrt(a) for c, a in zip(v.entries, v.author_counts)),
-        reverse=True,
+    pairs = sorted(
+        ((c / math.sqrt(a), a) for c, a in zip(v.entries, v.author_counts)),
+        key=lambda t: -t[0],
     )
-    k = 0
-    for i, c in enumerate(normalized, start=1):
-        if c >= i:
-            k = i
-        else:
-            break
-    return float(k)
+    normalized = CitationVector(
+        entries=tuple(c for c, _ in pairs),
+        author_counts=tuple(a for _, a in pairs),
+    )
+    return float(h_index(normalized))
 
 
 def h_m_index(v: CitationVector) -> float:
@@ -163,34 +159,33 @@ def h_m_index(v: CitationVector) -> float:
     return best
 
 
+# Measure -> (citation_vector normalizer, index function on that vector).
+_DISPATCH = {
+    **{m: ("none", _BASE_FUNCS[m]) for m in TRADITIONAL},
+    **{m: ("author_count", _BASE_FUNCS[FRAC_OF[m]]) for m in FRACTIONAL},
+    Measure.H_I: ("none", h_i_index),
+    Measure.H_M: ("none", h_m_index),
+    Measure.H_P: ("none", h_p_index),
+    Measure.H_AP: ("sqrt_author_count", h_index),
+}
+
+
 def compute_all(author_id: str, snapshot: Snapshot) -> dict[Measure, float]:
     """Every measure for one author at a snapshot."""
-    raw = citation_vector(author_id, snapshot, normalizer="none")
-    frac = citation_vector(author_id, snapshot, normalizer="author_count")
-    values: dict[Measure, float] = {}
-    for m in TRADITIONAL:
-        values[m] = float(_BASE_FUNCS[m](raw))
-    for m in FRACTIONAL:
-        values[m] = fractional_index(_BASE_OF_FRAC[m], frac)
-    values[Measure.H_I] = h_i_index(raw)
-    values[Measure.H_M] = h_m_index(raw)
-    values[Measure.H_P] = h_p_index(raw)
-    values[Measure.H_AP] = h_ap_index(raw)
-    return values
+    vectors = {
+        n: citation_vector(author_id, snapshot, normalizer=n) for n in NORMALIZERS
+    }
+    return {m: float(func(vectors[n])) for m, (n, func) in _DISPATCH.items()}
 
 
 def compute_measure(author_id: str, snapshot: Snapshot, measure: Measure) -> float:
     """One measure for one author at a snapshot."""
-    if measure in _BASE_FUNCS:
-        return float(_BASE_FUNCS[measure](citation_vector(author_id, snapshot)))
-    if measure in _BASE_OF_FRAC:
-        frac = citation_vector(author_id, snapshot, normalizer="author_count")
-        return fractional_index(_BASE_OF_FRAC[measure], frac)
-    raw = citation_vector(author_id, snapshot)
-    func = {
-        Measure.H_I: h_i_index,
-        Measure.H_M: h_m_index,
-        Measure.H_P: h_p_index,
-        Measure.H_AP: h_ap_index,
-    }[measure]
-    return func(raw)
+    normalizer, func = _DISPATCH[measure]
+    return float(func(citation_vector(author_id, snapshot, normalizer=normalizer)))
+
+
+def measure_columns(snapshot: Snapshot, ids: list[str]) -> dict[Measure, list[float]]:
+    """Every measure's values over `ids`, aligned with them: one compute_all
+    per author."""
+    per_author = [compute_all(a, snapshot) for a in ids]
+    return {m: [values[m] for values in per_author] for m in Measure}

@@ -5,6 +5,7 @@ Formats:
                  {"author_id", "name", "field", "publications": [
                      {"pub_id", "year", "authors", "cites": {year: count},
                       "is_patent"?, "is_duplicate"?}]}
+                 with integer year, authors and counts, and boolean flags;
                  an optional first line {"schema_version": 1} is honored.
   awards.csv     header author_id,award_id,year
   catalog.csv    header award_id,name,total_laureates
@@ -107,6 +108,22 @@ def clean_publication(
     )
 
 
+def _integer(value, what: str) -> int | None:
+    """A JSON integer or null; floats and strings are rejected, never
+    truncated."""
+    if value is not None and type(value) is not int:  # bool subclasses int
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _flag(p: dict, key: str) -> bool:
+    """A JSON boolean, false when absent; strings such as "false" are rejected."""
+    value = p.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _parse_author_line(obj: dict, path: str, lineno: int) -> tuple[dict, list[RawPublication]]:
     try:
         meta = {
@@ -116,18 +133,18 @@ def _parse_author_line(obj: dict, path: str, lineno: int) -> tuple[dict, list[Ra
         }
         pubs = []
         for p in obj.get("publications", []):
-            cites = {int(y): int(c) for y, c in (p.get("cites") or {}).items()}
-            year = p.get("year")
-            authors = p.get("authors")
+            cites = {int(y): c for y, c in (p.get("cites") or {}).items()}
+            if not all(type(c) is int for c in cites.values()):
+                raise ValueError(f"citation counts must be integers: {cites}")
             pubs.append(
                 RawPublication(
                     pub_id=str(p["pub_id"]),
                     title=str(p.get("title", "")),
-                    declared_year=int(year) if year is not None else None,
-                    author_count=int(authors) if authors is not None else None,
+                    declared_year=_integer(p.get("year"), "year"),
+                    author_count=_integer(p.get("authors"), "authors"),
                     citations_by_year=cites,
-                    is_patent=bool(p.get("is_patent", False)),
-                    is_duplicate=bool(p.get("is_duplicate", False)),
+                    is_patent=_flag(p, "is_patent"),
+                    is_duplicate=_flag(p, "is_duplicate"),
                 )
             )
         return meta, pubs
@@ -160,7 +177,10 @@ def load_authors(path: str | Path) -> tuple[dict[str, AuthorProfile], CleaningRe
             meta, raw_pubs = _parse_author_line(obj, str(path), lineno)
             cleaned = []
             for raw in raw_pubs:
-                record, reason = clean_publication(raw)
+                try:
+                    record, reason = clean_publication(raw)
+                except ValueError as exc:  # a record check, e.g. negative cites
+                    raise ParseError(str(path), lineno, str(exc)) from exc
                 if record is None:
                     report.record_reject(meta["author_id"], raw.pub_id, reason)
                 else:
@@ -192,6 +212,10 @@ def load_catalog(path: str | Path) -> dict[str, AwardCatalogEntry]:
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(str(path), lineno, f"bad catalog row: {exc}") from exc
+            if entry.award_id in catalog:
+                raise ParseError(
+                    str(path), lineno, f"duplicate award_id {entry.award_id!r}"
+                )
             catalog[entry.award_id] = entry
     return catalog
 
@@ -215,7 +239,6 @@ def load_corpus(
     authors_path: str | Path,
     awards_path: str | Path | None = None,
     catalog_path: str | Path | None = None,
-    platform: str | None = None,
 ) -> tuple[AuthorCorpus, CleaningReport]:
     """Load a full corpus; grants referencing unknown award ids fail."""
     authors, report = load_authors(authors_path)
@@ -238,7 +261,7 @@ def load_corpus(
             publications=profile.publications,
             awards=tuple(author_grants),
         )
-    return AuthorCorpus(authors=authors, catalog=catalog, platform=platform), report
+    return AuthorCorpus(authors=authors, catalog=catalog), report
 
 
 def save_corpus(corpus: AuthorCorpus, out_dir: str | Path) -> dict[str, Path]:

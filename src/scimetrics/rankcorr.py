@@ -37,6 +37,15 @@ class RocCurve:
     auc: float
 
 
+def _finite(values: Sequence[float]) -> np.ndarray:
+    """The values as a float array; NaN or infinite input is an error, not a
+    gap, since it would be silently misranked."""
+    x = np.asarray(values, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("values must be finite (no NaN or infinity)")
+    return x
+
+
 def pair_counts(a: Sequence[float], b: Sequence[float]) -> PairCounts:
     """Classify all n(n-1)/2 index pairs of two aligned value sequences.
 
@@ -47,8 +56,8 @@ def pair_counts(a: Sequence[float], b: Sequence[float]) -> PairCounts:
     n = len(a)
     if n < 2:
         raise ValueError("need at least 2 elements")
-    x = np.asarray(a, dtype=float)
-    y = np.asarray(b, dtype=float)
+    x = _finite(a)
+    y = _finite(b)
     iu = np.triu_indices(n, k=1)
     dx = np.sign(x[:, None] - x[None, :])[iu]
     dy = np.sign(y[:, None] - y[None, :])[iu]
@@ -107,8 +116,8 @@ def spearman_rho(a: Sequence[float], b: Sequence[float]) -> float:
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     if len(a) < 2:
         raise ValueError("need at least 2 elements")
-    ra = rankdata(np.asarray(a, dtype=float))
-    rb = rankdata(np.asarray(b, dtype=float))
+    ra = rankdata(_finite(a))
+    rb = rankdata(_finite(b))
     if np.all(ra == ra[0]) or np.all(rb == rb[0]):
         raise DegenerateInputError("rho undefined: constant sequence")
     ra = ra - ra.mean()
@@ -130,6 +139,8 @@ def roc_curve(
     if len(measure_values) != len(award_counts):
         raise ValueError("length mismatch")
     n = len(measure_values)
+    _finite(measure_values)
+    _finite(award_counts)
     total_awards = float(sum(award_counts))
     total_negatives = sum(1 for w in award_counts if w == 0)
     if total_awards <= 0:
@@ -149,7 +160,3 @@ def roc_curve(
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         auc += (x1 - x0) * (y0 + y1) / 2.0
     return RocCurve(points=tuple(points), auc=auc)
-
-
-def roc_auc(measure_values: Sequence[float], award_counts: Sequence[float]) -> float:
-    return roc_curve(measure_values, award_counts).auc

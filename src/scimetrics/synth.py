@@ -162,7 +162,7 @@ def generate(config: SynthConfig) -> AuthorCorpus:
         )
         for aid, profile in authors.items()
     }
-    return AuthorCorpus(authors=authors, catalog=catalog, platform="synthetic")
+    return AuthorCorpus(authors=authors, catalog=catalog)
 
 
 def _cfrac_by_year(

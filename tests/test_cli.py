@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from scimetrics import effectiveness, snapshot_at
+from scimetrics import effectiveness, evaluation, snapshot_at
 from scimetrics.cli import main
 from scimetrics.indices import Measure, compute_all
 from scimetrics.ingest import load_corpus, save_corpus
@@ -124,6 +124,33 @@ class TestEvaluate:
               "--out", str(second)])
         for path in sorted(first.iterdir()):
             assert path.read_bytes() == (second / path.name).read_bytes()
+
+    def test_manifest_unknown_keys_rejected(self, corpus_dir, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "evaluate", "corpus": str(corpus_dir),
+            "years": "2005:2006", "horizn": 3, "bogus_key": 1,
+        }))
+        out = tmp_path / "rerun"
+        assert main(["evaluate", "--manifest", str(manifest),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "bogus_key" in err and "horizn" in err
+        assert not out.exists()
+
+    def test_each_year_snapshotted_once(self, corpus_dir, tmp_path, monkeypatch):
+        years = []
+
+        def counting_snapshot_at(corpus, year):
+            years.append(year)
+            return snapshot_at(corpus, year)
+
+        monkeypatch.setattr(evaluation, "snapshot_at", counting_snapshot_at)
+        # 3 measures x 2 criteria x 6 years: one snapshot per year, not per cell.
+        assert main(["evaluate", "--corpus", str(corpus_dir),
+                     "--measures", "h,h-frac,c", "--criteria", "tau_b,auc",
+                     "--years", "2003:2008", "--out", str(tmp_path / "eval")]) == 0
+        assert years == list(range(2003, 2009))
 
     def test_gap_years_serialized_empty(self, corpus_dir, tmp_path):
         out = tmp_path / "eval"

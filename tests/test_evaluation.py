@@ -15,6 +15,9 @@ from scimetrics.corpus import (
 )
 from scimetrics.errors import DegenerateInputError
 from scimetrics.evaluation import (
+    AWARD_MODES,
+    CRITERIA,
+    FILTER_MODES,
     AuthorFilter,
     AwardScheme,
     apply_filter,
@@ -23,6 +26,7 @@ from scimetrics.evaluation import (
     measure_correlation_matrix,
     predictive_power,
     series,
+    series_grid,
 )
 from scimetrics.indices import Measure, compute_measure
 
@@ -329,6 +333,57 @@ class TestSeries:
         for year, value in zip(s.years, s.values):
             expected = predictive_power(corpus, Measure.H_FRAC, "tau_b", year, 5)
             assert value == pytest.approx(expected)
+
+
+class TestSeriesGrid:
+    @pytest.mark.parametrize("award_mode", AWARD_MODES)
+    @pytest.mark.parametrize("filter_mode", FILTER_MODES)
+    def test_cells_match_series_and_predictive_power(self, filter_mode, award_mode):
+        corpus = seeded_corpus(n_authors=30)
+        scheme = AwardScheme(mode=award_mode, selective_threshold=50)
+        author_filter = AuthorFilter(
+            mode=filter_mode, max_avg_authors=5.0, window=(1995, 2005)
+        )
+        measures = [Measure.H_FRAC, Measure.H_AP]
+        args = ((1986, 1997), 2, scheme, author_filter)
+        grid = series_grid(corpus, measures, list(CRITERIA), *args)
+        assert list(grid) == [(m, c) for m in measures for c in CRITERIA]
+        for (measure, criterion), cell in grid.items():
+            assert cell == series(corpus, measure, criterion, *args)
+            for year, value in zip(cell.years, cell.values):
+                call = (corpus, measure, criterion, year, 2, scheme, author_filter)
+                if value is None:
+                    with pytest.raises(DegenerateInputError):
+                        predictive_power(*call)
+                else:
+                    assert value == predictive_power(*call)
+        values = [v for cell in grid.values() for v in cell.values]
+        assert None in values and any(v is not None for v in values)
+
+    def test_n_authors_counts_kept_authors_and_gaps_stay_none(self):
+        # Authors without papers yet average 0 authors per paper, so the
+        # filter keeps both before 1990, only "late" before 1995, then nobody.
+        corpus = build_corpus(
+            {"early": [(1990, 500, {1991: 5})], "late": [(1995, 500, {})]}
+        )
+        no_hyper = AuthorFilter(mode="no_hyperauthors", max_avg_authors=10)
+        grid = series_grid(
+            corpus, [Measure.H, Measure.C], ["tau_b", "auc"], (1988, 1996),
+            author_filter=no_hyper,
+        )
+        for cell in grid.values():
+            assert cell.n_authors == (2, 2, 1, 1, 1, 1, 1, 0, 0)
+            assert cell.values == (None,) * 9
+
+    def test_unknown_criterion_rejected_before_any_year(self, monkeypatch):
+        monkeypatch.setattr(
+            "scimetrics.evaluation.snapshot_at",
+            lambda *_: pytest.fail("snapshot built for a bad criterion"),
+        )
+        with pytest.raises(ValueError, match="pearson"):
+            series_grid(
+                seeded_corpus(), [Measure.H], ["tau_b", "pearson"], (2000, 2001)
+            )
 
 
 class TestCorrelationMatrix:

@@ -151,6 +151,39 @@ class TestLoadCorpus:
             load_corpus(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "pub, message",
+        [
+            ({"cites": {"2001": -3}}, "negative citation count"),
+            ({"authors": 2.9}, "authors must be an integer"),
+            ({"cites": {"2001": 1.5}}, "citation counts must be integers"),
+            ({"year": "2000"}, "year must be an integer"),
+            ({"is_patent": "false"}, "is_patent must be true or false"),
+            ({"is_duplicate": 0}, "is_duplicate must be true or false"),
+        ],
+    )
+    def test_bad_publication_fails_with_location(self, tmp_path, pub, message):
+        good = {"pub_id": "p1", "year": 2000, "authors": 2, "cites": {"2001": 3}}
+        path = tmp_path / "authors.jsonl"
+        path.write_text(
+            '{"author_id": "a0", "publications": []}\n'
+            + json.dumps({"author_id": "a1", "publications": [{**good, **pub}]})
+            + "\n"
+        )
+        with pytest.raises(ParseError, match=message) as err:
+            load_corpus(path)
+        assert str(err.value).startswith(f"{path}:2: ")
+
+    def test_duplicate_catalog_id_fails_with_location(self, tmp_path):
+        (tmp_path / "authors.jsonl").write_text("")
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text(
+            "award_id,name,total_laureates\nx,X,5\ny,Y,9\nx,X again,7\n"
+        )
+        with pytest.raises(ParseError, match="duplicate award_id 'x'") as err:
+            load_corpus(tmp_path / "authors.jsonl", catalog_path=catalog)
+        assert err.value.line == 4
+
     def test_unknown_award_reference(self, tmp_path):
         (tmp_path / "authors.jsonl").write_text(
             '{"author_id": "a1", "publications": []}\n'

@@ -22,6 +22,19 @@ B = [1, 2, 3, 3]
 sequences = st.lists(st.integers(0, 3), min_size=2, max_size=40)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "stat", [pair_counts, kendall_tau_b, spearman_rho, roc_curve]
+)
+def test_non_finite_input_rejected(stat, bad):
+    # A NaN compares false with everything, so it would be silently misranked;
+    # a plain ValueError (not a degenerate gap) must surface instead.
+    for a, b in (([bad, 1, 2, 3], [0, 1, 0, 2]), ([0, 1, 2, 3], [bad, 1, 0, 2])):
+        with pytest.raises(ValueError, match="finite") as err:
+            stat(a, b)
+        assert not isinstance(err.value, DegenerateInputError)
+
+
 class TestPairCounts:
     def test_worked_example(self):
         pc = pair_counts(A, B)
