@@ -94,6 +94,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"  {reason}: {report.rejected_by_reason[reason]}")
     if args.report:
         report.write_csv(Path(args.report))
+    if args.reject_log:
+        rows = [["author_id", "pub_id", "reason"], *report.reject_log]
+        _atomic_write(Path(args.reject_log), _csv_text(rows))
     return 0
 
 
@@ -273,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="load a corpus and report cleaning stats")
     p.add_argument("--corpus", required=True)
     p.add_argument("--report", help="optional cleaning-report CSV path")
+    p.add_argument("--reject-log", help="optional CSV of each rejected record")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("indices", help="per-author index table at a year")

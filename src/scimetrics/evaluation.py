@@ -63,6 +63,7 @@ class EvaluationSeries:
     years: tuple[int, ...]
     values: tuple[float | None, ...]  # None marks a degenerate (gap) year
     n_authors: tuple[int, ...]
+    gap_reasons: tuple[str | None, ...]  # why each gap year is one; None if defined
 
 
 def _retained_award_ids(corpus: AuthorCorpus, scheme: AwardScheme) -> set[str]:
@@ -240,27 +241,32 @@ def series_grid(
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}")
     years = tuple(range(start, end + 1))
-    cells: dict[tuple[Measure, str], list[float | None]] = {
+    values: dict[tuple[Measure, str], list[float | None]] = {
         (m, c): [] for m in measures for c in criteria
     }
+    reasons: dict[tuple[Measure, str], list[str | None]] = {k: [] for k in values}
     counts = []
     for year in years:
+        nobody = None
         try:
             columns, awards = _year_columns(
                 corpus, year, year + horizon, scheme, author_filter
             )
-        except DegenerateInputError:  # the filter keeps nobody
-            columns, awards = {}, []
+        except DegenerateInputError as exc:  # the filter keeps nobody
+            columns, awards, nobody = {}, [], str(exc)
         counts.append(len(awards))
-        for (measure, criterion), cell in cells.items():
+        for (measure, criterion), cell in values.items():
             try:
-                value = _cell(measure, criterion, year, columns, awards)
-            except DegenerateInputError:
-                value = None
+                value, reason = _cell(measure, criterion, year, columns, awards), None
+            except DegenerateInputError as exc:
+                value, reason = None, nobody or str(exc)
             cell.append(value)
+            reasons[measure, criterion].append(reason)
     return {
-        (m, c): EvaluationSeries(m, c, horizon, years, tuple(v), tuple(counts))
-        for (m, c), v in cells.items()
+        (m, c): EvaluationSeries(
+            m, c, horizon, years, tuple(v), tuple(counts), tuple(reasons[m, c])
+        )
+        for (m, c), v in values.items()
     }
 
 

@@ -1,8 +1,9 @@
 """Tie-aware rank-correlation statistics and ROC/AUC construction.
 
-All statistics are defined through exhaustive pair classification:
+All statistics are defined through the classification of every index pair:
 concordant (C), discordant (D), tied in the first sequence only (T_A),
-tied in the second only (T_B), tied in both.
+tied in the second only (T_B), tied in both.  The counts come from sorting
+and group sizes (Knight 1966), in O(n log n) time and O(n) memory.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateInputError
 
@@ -46,28 +46,62 @@ def _finite(values: Sequence[float]) -> np.ndarray:
     return x
 
 
+def _tied_pairs(group_sizes: np.ndarray) -> int:
+    """Pairs within groups: the sum of t(t - 1) / 2 over group sizes t."""
+    return int((group_sizes * (group_sizes - 1) // 2).sum())
+
+
+def _inversions(r: np.ndarray) -> int:
+    """Pairs i < j with r[i] > r[j], for integers 0 <= r < len(r).
+
+    Bottom-up merge sort: before the pass of width w every block of w is
+    sorted.  Each element of a right block counts the elements of its left
+    neighbour above it (a search among the left blocks, shifted apart by a
+    per-pair offset), then each pair of blocks is merged by one sort of the
+    shifted values.
+    """
+    n = len(r)
+    idx = np.arange(n)
+    total = 0
+    width = 1
+    while width < n:
+        pair = idx // (2 * width)
+        in_right = idx % (2 * width) >= width
+        offset = pair * n
+        keys = r + offset
+        left_at_most = np.searchsorted(
+            keys[~in_right], keys[in_right], side="right"
+        ) - pair[in_right] * width
+        total += int((width - left_at_most).sum())
+        r = np.sort(keys, kind="stable") - offset
+        width *= 2
+    return total
+
+
 def pair_counts(a: Sequence[float], b: Sequence[float]) -> PairCounts:
     """Classify all n(n-1)/2 index pairs of two aligned value sequences.
 
-    A pair tied in both sequences counts toward ties_both only.
+    A pair tied in both sequences counts toward ties_both only.  Discordant
+    pairs are the inversions of b's ranks in (a, b)-sorted order; pairs tied
+    in a are sorted by b there, so they add none.
     """
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     n = len(a)
     if n < 2:
         raise ValueError("need at least 2 elements")
-    x = _finite(a)
-    y = _finite(b)
-    iu = np.triu_indices(n, k=1)
-    dx = np.sign(x[:, None] - x[None, :])[iu]
-    dy = np.sign(y[:, None] - y[None, :])[iu]
-    prod = dx * dy
-    concordant = int(np.count_nonzero(prod > 0))
-    discordant = int(np.count_nonzero(prod < 0))
-    ties_a = int(np.count_nonzero((dx == 0) & (dy != 0)))
-    ties_b = int(np.count_nonzero((dx != 0) & (dy == 0)))
-    ties_both = int(np.count_nonzero((dx == 0) & (dy == 0)))
-    return PairCounts(concordant, discordant, ties_a, ties_b, ties_both, n)
+    rx = np.unique(_finite(a), return_inverse=True)[1]
+    ry = np.unique(_finite(b), return_inverse=True)[1]
+    order = np.lexsort((ry, rx))
+    joint = rx[order] * n + ry[order]
+    tied_a = _tied_pairs(np.bincount(rx))  # ties in both included
+    tied_b = _tied_pairs(np.bincount(ry))
+    ties_both = _tied_pairs(np.unique(joint, return_counts=True)[1])
+    discordant = _inversions(ry[order])
+    concordant = n * (n - 1) // 2 - discordant - tied_a - tied_b + ties_both
+    return PairCounts(
+        concordant, discordant, tied_a - ties_both, tied_b - ties_both, ties_both, n
+    )
 
 
 def kendall_tau_b(a: Sequence[float], b: Sequence[float]) -> float:
@@ -110,14 +144,23 @@ def goodman_gamma(a: Sequence[float], b: Sequence[float]) -> float:
     return (pc.concordant - pc.discordant) / cd_sum
 
 
+def average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks, tied values sharing the mean of their positions."""
+    _, inverse, sizes = np.unique(
+        _finite(values), return_inverse=True, return_counts=True
+    )
+    ends = np.cumsum(sizes)
+    return (0.5 * (ends + (ends - sizes) + 1))[inverse]
+
+
 def spearman_rho(a: Sequence[float], b: Sequence[float]) -> float:
     """Pearson correlation of tie-averaged (fractional) ranks."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     if len(a) < 2:
         raise ValueError("need at least 2 elements")
-    ra = rankdata(_finite(a))
-    rb = rankdata(_finite(b))
+    ra = average_ranks(a)
+    rb = average_ranks(b)
     if np.all(ra == ra[0]) or np.all(rb == rb[0]):
         raise DegenerateInputError("rho undefined: constant sequence")
     ra = ra - ra.mean()
@@ -135,28 +178,24 @@ def roc_curve(
     the false-positive rate is the fraction of zero-award authors seen so
     far, the true-positive rate the fraction of all awards captured.  AUC is
     the trapezoidal area over the emitted points, starting from (0, 0).
+    Sums run left to right (cumulative sums, not pairwise), so results do
+    not depend on how numpy blocks a reduction.
     """
     if len(measure_values) != len(award_counts):
         raise ValueError("length mismatch")
-    n = len(measure_values)
-    _finite(measure_values)
-    _finite(award_counts)
-    total_awards = float(sum(award_counts))
-    total_negatives = sum(1 for w in award_counts if w == 0)
+    x = _finite(measure_values)
+    w = _finite(award_counts)
+    total_awards = float(np.cumsum(w)[-1]) if len(w) else 0.0
+    total_negatives = int(np.count_nonzero(w == 0))
     if total_awards <= 0:
         raise DegenerateInputError("roc undefined: no awards in population")
     if total_negatives == 0:
         raise DegenerateInputError("roc undefined: no zero-award authors")
-    order = sorted(range(n), key=lambda i: -measure_values[i])
-    points = [(0.0, 0.0)]
-    seen_negatives = 0
-    seen_awards = 0.0
-    for i in order:
-        if award_counts[i] == 0:
-            seen_negatives += 1
-        seen_awards += award_counts[i]
-        points.append((seen_negatives / total_negatives, seen_awards / total_awards))
-    auc = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        auc += (x1 - x0) * (y0 + y1) / 2.0
-    return RocCurve(points=tuple(points), auc=auc)
+    visited = w[np.argsort(-x, kind="stable")]
+    fpr = np.concatenate(([0.0], np.cumsum(visited == 0) / total_negatives))
+    tpr = np.concatenate(([0.0], np.cumsum(visited) / total_awards))
+    areas = (fpr[1:] - fpr[:-1]) * (tpr[:-1] + tpr[1:]) / 2.0
+    return RocCurve(
+        points=tuple(zip(fpr.tolist(), tpr.tolist())),
+        auc=float(np.cumsum(areas)[-1]),
+    )

@@ -28,6 +28,31 @@ class TestValidate:
         assert main(["validate", "--corpus", str(corpus_dir)]) == 0
         assert "authors: 25" in capsys.readouterr().out
 
+    def test_reject_log_lists_rejects_in_ingest_order(self, tmp_path):
+        authors = [
+            {"author_id": "b", "publications": [
+                {"pub_id": "b1", "year": 2000, "authors": 2, "is_patent": True},
+                {"pub_id": "b2", "year": 2001, "authors": 1},
+            ]},
+            {"author_id": "a", "publications": [
+                {"pub_id": "a1", "year": 2000, "authors": 3,
+                 "is_duplicate": True},
+                {"pub_id": "a2", "year": 2002},
+            ]},
+        ]
+        (tmp_path / "authors.jsonl").write_text(
+            "".join(json.dumps(a) + "\n" for a in authors)
+        )
+        log = tmp_path / "out" / "rejects.csv"
+        assert main(["validate", "--corpus", str(tmp_path),
+                     "--reject-log", str(log)]) == 0
+        assert read_csv(log) == [
+            ["author_id", "pub_id", "reason"],
+            ["b", "b1", "patent"],
+            ["a", "a1", "duplicate"],
+            ["a", "a2", "missing_authors"],
+        ]
+
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main(["validate", "--corpus", str(tmp_path / "nope.jsonl")]) == 1
         assert "error" in capsys.readouterr().err

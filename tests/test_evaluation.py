@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -350,12 +351,13 @@ class TestSeriesGrid:
         assert list(grid) == [(m, c) for m in measures for c in CRITERIA]
         for (measure, criterion), cell in grid.items():
             assert cell == series(corpus, measure, criterion, *args)
-            for year, value in zip(cell.years, cell.values):
+            for year, value, reason in zip(cell.years, cell.values, cell.gap_reasons):
                 call = (corpus, measure, criterion, year, 2, scheme, author_filter)
                 if value is None:
-                    with pytest.raises(DegenerateInputError):
+                    with pytest.raises(DegenerateInputError, match=re.escape(reason)):
                         predictive_power(*call)
                 else:
+                    assert reason is None
                     assert value == predictive_power(*call)
         values = [v for cell in grid.values() for v in cell.values]
         assert None in values and any(v is not None for v in values)
@@ -374,6 +376,35 @@ class TestSeriesGrid:
         for cell in grid.values():
             assert cell.n_authors == (2, 2, 1, 1, 1, 1, 1, 0, 0)
             assert cell.values == (None,) * 9
+
+    def test_gap_reasons_say_why_each_year_is_a_gap(self):
+        # Same corpus: no awards at all, one author from 1990, none from 1995.
+        corpus = build_corpus(
+            {"early": [(1990, 500, {1991: 5})], "late": [(1995, 500, {})]}
+        )
+        no_hyper = AuthorFilter(mode="no_hyperauthors", max_avg_authors=10)
+        grid = series_grid(
+            corpus, [Measure.H], ["tau_b", "auc"], (1988, 1996),
+            author_filter=no_hyper,
+        )
+        tau_b, auc = grid[Measure.H, "tau_b"], grid[Measure.H, "auc"]
+        assert tau_b.gap_reasons[0] == (
+            "tau_b degenerate at year 1988 for measure h: "
+            "tau_b undefined: a sequence is fully tied"
+        )
+        assert auc.gap_reasons[1] == (
+            "auc degenerate at year 1989 for measure h: "
+            "roc undefined: no awards in population"
+        )
+        for cell in (tau_b, auc):
+            assert len(cell.gap_reasons) == len(cell.years)
+            assert cell.gap_reasons[2] == (
+                "fewer than 2 authors at year 1990 after filtering"
+            )
+            assert cell.gap_reasons[7:] == (
+                "filter 'no_hyperauthors' leaves no authors at 1995",
+                "filter 'no_hyperauthors' leaves no authors at 1996",
+            )
 
     def test_unknown_criterion_rejected_before_any_year(self, monkeypatch):
         monkeypatch.setattr(

@@ -1,12 +1,20 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.stats import kendalltau, rankdata
 
 import oracles
+import scimetrics
 from scimetrics.errors import DegenerateInputError
 from scimetrics.rankcorr import (
+    average_ranks,
     goodman_gamma,
     kendall_tau_a,
     kendall_tau_b,
@@ -20,6 +28,20 @@ A = [1, 2, 2, 3]
 B = [1, 2, 3, 3]
 
 sequences = st.lists(st.integers(0, 3), min_size=2, max_size=40)
+
+
+@st.composite
+def tied_pairs(draw):
+    """Two aligned sequences over alphabets of 1-4 symbols: heavy ties."""
+    n = draw(st.integers(2, 80))
+    columns = []
+    for _ in range(2):
+        alphabet = draw(
+            st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4, unique=True)
+        )
+        symbols = st.sampled_from(alphabet)
+        columns.append(draw(st.lists(symbols, min_size=n, max_size=n)))
+    return columns
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -86,6 +108,38 @@ class TestPairCounts:
                 pc.ties_b_only,
                 pc.ties_both,
             ) == oracles.pair_counts_oracle(a, b)
+
+    @given(tied_pairs())
+    def test_heavy_ties_equal_oracle(self, pair):
+        a, b = pair
+        pc = pair_counts(a, b)
+        assert (
+            pc.concordant,
+            pc.discordant,
+            pc.ties_a_only,
+            pc.ties_b_only,
+            pc.ties_both,
+        ) == oracles.pair_counts_oracle(a, b)
+
+    def test_large_n_in_linear_memory(self):
+        # The pairwise n x n construction would need about 80 GB here.
+        n = 100_000
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, 40, n).astype(float)
+        b = rng.integers(0, 6, n).astype(float)
+        tracemalloc.start()
+        try:
+            pc = pair_counts(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        counts = (
+            pc.concordant, pc.discordant, pc.ties_a_only, pc.ties_b_only,
+            pc.ties_both,
+        )
+        assert sum(counts) == pc.total_pairs
+        assert all(c > 0 for c in counts)
 
 
 class TestStatistics:
@@ -173,6 +227,26 @@ class TestStatistics:
                 continue
             assert -1 - 1e-12 <= value <= 1 + 1e-12
 
+    def test_tau_b_agrees_with_scipy(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            n = rng.randint(2, 300)
+            a = [rng.randint(0, 4) for _ in range(n)]
+            b = [rng.choice([0.0, 0.5, 2.0]) for _ in range(n)]
+            expected = kendalltau(a, b).statistic
+            if math.isnan(expected):
+                with pytest.raises(DegenerateInputError):
+                    kendall_tau_b(a, b)
+            else:
+                assert kendall_tau_b(a, b) == pytest.approx(expected, abs=1e-12)
+
+    @given(tied_pairs())
+    def test_average_ranks_equal_scipy_bitwise(self, pair):
+        for values in pair:
+            ranks = average_ranks(values)
+            assert ranks.dtype == np.float64
+            assert np.array_equal(ranks, rankdata(values))
+
     def test_spearman_against_oracle(self):
         rng = random.Random(23)
         for _ in range(100):
@@ -236,3 +310,16 @@ class TestRoc:
             rng.shuffle(shuffled)
             total += roc_curve([1.0] * n, shuffled).auc
         assert total / trials == pytest.approx(0.5, abs=0.05)
+
+
+def test_cli_import_pulls_in_no_scipy():
+    code = (
+        "import scimetrics.cli, sys; "
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(scimetrics.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"
