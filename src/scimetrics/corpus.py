@@ -5,6 +5,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+
+import numpy as np
 
 VALID_YEAR_RANGE = (1950, 2030)
 
@@ -33,9 +37,6 @@ class PublicationRecord:
                     f"{self.pub_id}: citation year {year} precedes "
                     f"effective year {self.effective_year}"
                 )
-
-    def citations_until(self, year: int) -> int:
-        return sum(c for y, c in self.citations_by_year.items() if y <= year)
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,62 @@ class AuthorCorpus:
                         f"{author.author_id}: unknown award_id {grant.award_id!r}"
                     )
 
+    @cached_property
+    def arrays(self) -> CorpusArrays:
+        """The corpus flattened into columns, built on first use."""
+        return CorpusArrays.build(self)
+
+
+@dataclass(frozen=True, eq=False)
+class CorpusArrays:
+    """Publications in author order and citation events in year order.
+
+    Author k's publications are rows starts[k]:starts[k + 1] of the
+    per-publication columns.  The citation events (pub, count) dated up to
+    year Y are the first events_until[Y - VALID_YEAR_RANGE[0]] events.
+    """
+
+    index: dict[str, int]  # author id -> position in corpus order
+    starts: np.ndarray  # int64, one more than there are authors
+    effective_year: np.ndarray  # int32 per publication
+    author_count: np.ndarray  # int32 per publication
+    event_pub: np.ndarray  # int32 per citation event
+    event_count: np.ndarray  # int32 per citation event
+    events_until: np.ndarray  # int64 per year of VALID_YEAR_RANGE
+
+    @classmethod
+    def build(cls, corpus: AuthorCorpus) -> CorpusArrays:
+        authors = corpus.authors.values()
+        pubs = [p for author in authors for p in author.publications]
+        cites = [p.citations_by_year for p in pubs]
+        per_pub = np.fromiter(map(len, cites), np.int64, len(pubs))
+        n_events = int(per_pub.sum())
+        # Event columns are sorted by year one at a time, each temporary
+        # dropped once used, so the peak stays near the columns' own size.
+        year = np.fromiter(chain.from_iterable(cites), np.int32, n_events)
+        order = np.argsort(year, kind="stable")
+        lo, hi = VALID_YEAR_RANGE
+        events_until = np.searchsorted(year[order], np.arange(lo, hi + 1), "right")
+        del year
+        event_pub = np.repeat(np.arange(len(pubs), dtype=np.int32), per_pub)[order]
+        event_count = np.fromiter(
+            chain.from_iterable(c.values() for c in cites), np.int32, n_events
+        )[order]
+        per_author = np.fromiter((len(a.publications) for a in authors), np.int64)
+        return cls(
+            index={a: k for k, a in enumerate(corpus.authors)},
+            starts=np.concatenate(([0], np.cumsum(per_author))),
+            effective_year=np.fromiter(
+                (p.effective_year for p in pubs), np.int32, len(pubs)
+            ),
+            author_count=np.fromiter(
+                (p.author_count for p in pubs), np.int32, len(pubs)
+            ),
+            event_pub=event_pub,
+            event_count=event_count,
+            events_until=events_until,
+        )
+
 
 @dataclass(frozen=True)
 class SnapshotPublication:
@@ -95,15 +152,49 @@ class SnapshotPublication:
     citations: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Snapshot:
-    """The corpus as observable at the end of `observation_year`."""
+    """The corpus as observable at the end of `observation_year`: a column
+    slice of the corpus arrays."""
 
     observation_year: int
-    publications: dict[str, tuple[SnapshotPublication, ...]]
+    corpus: AuthorCorpus
+    citations: np.ndarray  # float64 per publication, integer-valued
 
     def __contains__(self, author_id: str) -> bool:
-        return author_id in self.publications
+        return author_id in self.corpus.authors
+
+    @cached_property
+    def publications(self) -> dict[str, tuple[SnapshotPublication, ...]]:
+        """Each author's publications in view, in publication order; built on
+        first use for the per-author reference path."""
+        cites = iter(self.citations.tolist())
+        # zip stops at an author's last paper without taking a count from
+        # `cites`, so the counts stay aligned with the next author's papers.
+        return {
+            author_id: tuple(
+                SnapshotPublication(p.pub_id, p.effective_year, p.author_count, int(c))
+                for p, c in zip(author.publications, cites)
+                if p.effective_year <= self.observation_year
+            )
+            for author_id, author in self.corpus.authors.items()
+        }
+
+    def in_view(self, ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(row, pub) of every publication in view of the authors `ids`,
+        where row is the author's position in `ids`; grouped by row, in
+        publication order within a row."""
+        arrays = self.corpus.arrays
+        try:
+            k = np.array([arrays.index[a] for a in ids], dtype=np.int64)
+        except KeyError as exc:
+            raise KeyError(f"unknown author {exc.args[0]!r}") from None
+        first, lengths = arrays.starts[k], arrays.starts[k + 1] - arrays.starts[k]
+        row = np.repeat(np.arange(len(ids)), lengths)
+        shift = first - (np.cumsum(lengths) - lengths)  # pub minus flat position
+        pub = np.arange(len(row)) + np.repeat(shift, lengths)
+        keep = arrays.effective_year[pub] <= self.observation_year
+        return row[keep], pub[keep]
 
 
 @dataclass(frozen=True)
@@ -133,20 +224,20 @@ def snapshot_at(corpus: AuthorCorpus, year: int) -> Snapshot:
     lo, hi = VALID_YEAR_RANGE
     if not lo <= year <= hi:
         raise ValueError(f"snapshot year {year} outside valid range [{lo}, {hi}]")
-    by_author: dict[str, tuple[SnapshotPublication, ...]] = {}
-    for author_id, author in corpus.authors.items():
-        pubs = tuple(
-            SnapshotPublication(
-                pub_id=p.pub_id,
-                effective_year=p.effective_year,
-                author_count=p.author_count,
-                citations=p.citations_until(year),
-            )
-            for p in author.publications
-            if p.effective_year <= year
+    arrays = corpus.arrays
+    cut = arrays.events_until[year - lo]
+    citations = np.zeros(len(arrays.effective_year))
+    # Chunks bound bincount's int64/float64 copies of its inputs to twice
+    # the size of the result; the integer sums are exact in float64.
+    chunk = max(len(citations), 1 << 16)
+    for begin in range(0, cut, chunk):
+        end = min(begin + chunk, cut)
+        citations += np.bincount(
+            arrays.event_pub[begin:end],
+            weights=arrays.event_count[begin:end],
+            minlength=len(citations),
         )
-        by_author[author_id] = pubs
-    return Snapshot(observation_year=year, publications=by_author)
+    return Snapshot(observation_year=year, corpus=corpus, citations=citations)
 
 
 def citation_vector(

@@ -9,12 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rankcorr
-from .corpus import (
-    AuthorCorpus,
-    Snapshot,
-    avg_authors_per_publication,
-    snapshot_at,
-)
+from .corpus import AuthorCorpus, Snapshot, snapshot_at
 from .errors import DegenerateInputError
 from .indices import Measure, measure_columns
 
@@ -106,22 +101,25 @@ def apply_filter(
     corpus: AuthorCorpus, snapshot: Snapshot, author_filter: AuthorFilter
 ) -> list[str]:
     """Author subset (sorted by id) surviving a robustness filter."""
-    ids = sorted(snapshot.publications)
+    ids = sorted(snapshot.corpus.authors)
     if author_filter.mode == "all":
         kept = ids
     elif author_filter.mode == "no_hyperauthors":
+        # Integer sums in float64, exact; the mean rounds as int / int does.
+        row, pub = snapshot.in_view(ids)
+        papers = np.bincount(row, minlength=len(ids))
+        authors = np.bincount(
+            row, weights=snapshot.corpus.arrays.author_count[pub], minlength=len(ids)
+        )
+        mean = np.where(papers > 0, authors / np.maximum(papers, 1), 0.0)
         kept = [
-            a
-            for a in ids
-            if avg_authors_per_publication(a, snapshot)
-            <= author_filter.max_avg_authors
+            a for a, v in zip(ids, mean.tolist()) if v <= author_filter.max_avg_authors
         ]
     elif author_filter.mode == "bottom_half_citations":
-        totals = {
-            a: sum(p.citations for p in snapshot.publications[a]) for a in ids
-        }
-        ranked = sorted(ids, key=lambda a: (totals[a], a))
-        kept = sorted(ranked[: len(ids) // 2])
+        row, pub = snapshot.in_view(ids)
+        totals = np.bincount(row, weights=snapshot.citations[pub], minlength=len(ids))
+        ranked = np.argsort(totals, kind="stable")  # ties by id, as ids are sorted
+        kept = [ids[i] for i in np.sort(ranked[: len(ids) // 2])]
     else:  # peak_in_window, judged on the full corpus history
         start, end = author_filter.window
         kept = []

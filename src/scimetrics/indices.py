@@ -11,6 +11,8 @@ import math
 import statistics
 from enum import Enum
 
+import numpy as np
+
 from .corpus import NORMALIZERS, CitationVector, Snapshot, citation_vector
 
 
@@ -184,8 +186,79 @@ def compute_measure(author_id: str, snapshot: Snapshot, measure: Measure) -> flo
     return float(func(citation_vector(author_id, snapshot, normalizer=normalizer)))
 
 
+def _sorted_rows(row: np.ndarray, values: np.ndarray, k: int, *aligned: np.ndarray):
+    """Each of k rows' values, descending with ties in input order (as
+    citation_vector sorts), padded with -inf into a k x width matrix, plus
+    each aligned array laid out the same way and padded with 0."""
+    order = np.lexsort((-values, row))
+    n = np.bincount(row, minlength=k)
+    col = np.arange(len(row)) - np.repeat(np.cumsum(n) - n, n)
+    width = max(int(n.max(initial=0)), 1)
+    out = []
+    for source, pad in ((values, -np.inf), *((a, 0) for a in aligned)):
+        matrix = np.full((k, width), pad, dtype=source.dtype)
+        matrix[row, col] = source[order]  # `row` is already grouped, so sorted
+        out.append(matrix)
+    return n, *out
+
+
+def _h_column(entries: np.ndarray) -> np.ndarray:
+    """h of every row of a descending, -inf padded matrix."""
+    return (entries >= np.arange(1, entries.shape[1] + 1)).sum(axis=1)
+
+
+def _base_columns(entries: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, ...]:
+    """h, c, mu, g, o and m of every row of a descending, -inf padded matrix
+    holding n[i] entries in row i."""
+    rows = np.arange(len(n))
+    rank = np.arange(1, entries.shape[1] + 1)
+    h = _h_column(entries)
+    running = np.cumsum(entries, axis=1)  # left to right, like sum()
+    total = np.where(n > 0, running[rows, n - 1], 0.0)
+    g = np.where(running >= rank * rank, rank, 0).max(axis=1)
+    top = np.where(n > 0, entries[:, 0], 0.0)
+    half = h // 2
+    lower, upper = entries[rows, half], entries[rows, np.maximum(half - 1, 0)]
+    median = np.where(h % 2 == 1, lower, (lower + upper) / 2)
+    return (
+        h,
+        total,
+        total / np.maximum(n, 1),
+        g,
+        np.sqrt(h * top),
+        np.where(h > 0, median, 0.0),
+    )
+
+
 def measure_columns(snapshot: Snapshot, ids: list[str]) -> dict[Measure, list[float]]:
-    """Every measure's values over `ids`, aligned with them: one compute_all
-    per author."""
-    per_author = [compute_all(a, snapshot) for a in ids]
-    return {m: [values[m] for values in per_author] for m in Measure}
+    """Every measure's values over `ids`, aligned with them and equal to
+    compute_all's bit for bit.
+
+    Each author's publications in view become one row of a padded matrix per
+    normalizer; every sum runs left to right along a row (np.cumsum), never
+    pairwise, so the floats match the per-vector functions exactly.
+    """
+    row, pub = snapshot.in_view(ids)
+    k = len(ids)
+    cites = snapshot.citations[pub]
+    authors = snapshot.corpus.arrays.author_count[pub]
+    n, raw, raw_authors, inverse = _sorted_rows(row, cites, k, authors, 1.0 / authors)
+    _, frac = _sorted_rows(row, cites / authors, k)
+    _, by_sqrt = _sorted_rows(row, cites / np.sqrt(authors), k)
+    traditional = _base_columns(raw, n)
+    h = traditional[0]
+    rows = np.arange(k)
+    core = np.cumsum(raw_authors, axis=1)[rows, np.maximum(h - 1, 0)]  # int64
+    mean_authors = np.where(h > 0, core / np.maximum(h, 1), 1.0)
+    effective_rank = np.cumsum(inverse, axis=1)
+    covered = raw >= effective_rank
+    last = raw.shape[1] - 1 - np.argmax(covered[:, ::-1], axis=1)
+    columns = {
+        **dict(zip(TRADITIONAL, traditional)),
+        **dict(zip(FRACTIONAL, _base_columns(frac, n))),
+        Measure.H_I: np.where(h > 0, h / mean_authors, 0.0),
+        Measure.H_M: np.where(covered.any(axis=1), effective_rank[rows, last], 0.0),
+        Measure.H_P: np.where(h > 0, h / np.sqrt(mean_authors), 0.0),
+        Measure.H_AP: _h_column(by_sqrt),
+    }
+    return {m: columns[m].astype(float).tolist() for m in Measure}

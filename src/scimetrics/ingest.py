@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import (
+    VALID_YEAR_RANGE,
     AuthorCorpus,
     AuthorProfile,
     AwardCatalogEntry,
@@ -116,6 +117,37 @@ def _integer(value, what: str) -> int | None:
     return value
 
 
+# Canonical keys of the years a snapshot can observe.  On the common path a
+# lookup is both the check and the conversion, and all parsed years share
+# these int objects instead of holding one each.
+_YEAR_KEYS = {str(y): y for y in range(VALID_YEAR_RANGE[0], VALID_YEAR_RANGE[1] + 1)}
+
+
+def _citations(raw: dict[str, object]) -> dict[int, object]:
+    """Citation counts by year from keys written as canonical decimals, e.g.
+    "2001"; " 2001", "02001" and "2_001", which int() accepts, are rejected
+    so that no two keys can name one year."""
+    try:
+        return {_YEAR_KEYS[y]: c for y, c in raw.items()}
+    except KeyError:
+        pass
+    for y in raw:
+        if str(int(y)) != y:
+            raise ValueError(f"citation year {y!r} is not a canonical decimal year")
+    return {int(y): c for y, c in raw.items()}
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are all distinct; json.loads alone would keep
+    the last of a repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        repeated = next(key for key in counts if counts[key] > 1)
+        raise ValueError(f"duplicate key {repeated!r}")
+    return obj
+
+
 def _flag(p: dict, key: str) -> bool:
     """A JSON boolean, false when absent; strings such as "false" are rejected."""
     value = p.get(key, False)
@@ -133,7 +165,7 @@ def _parse_author_line(obj: dict, path: str, lineno: int) -> tuple[dict, list[Ra
         }
         pubs = []
         for p in obj.get("publications", []):
-            cites = {int(y): c for y, c in (p.get("cites") or {}).items()}
+            cites = _citations(p.get("cites") or {})
             if not all(type(c) is int for c in cites.values()):
                 raise ValueError(f"citation counts must be integers: {cites}")
             pubs.append(
@@ -162,8 +194,8 @@ def load_authors(path: str | Path) -> tuple[dict[str, AuthorProfile], CleaningRe
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+                obj = json.loads(line, object_pairs_hook=_unique_keys)
+            except ValueError as exc:  # JSONDecodeError or a duplicate key
                 raise ParseError(str(path), lineno, f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ParseError(str(path), lineno, "expected a JSON object")
@@ -220,18 +252,34 @@ def load_catalog(path: str | Path) -> dict[str, AwardCatalogEntry]:
     return catalog
 
 
-def load_grants(path: str | Path) -> dict[str, list[AwardGrant]]:
+def load_grants(
+    path: str | Path,
+    authors: dict[str, AuthorProfile],
+    catalog: dict[str, AwardCatalogEntry],
+) -> dict[str, list[AwardGrant]]:
+    """Grants by author; a grant naming an unknown author or award fails at
+    its line."""
     grants: dict[str, list[AwardGrant]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for lineno, row in enumerate(reader, start=2):
             try:
+                author_id = row["author_id"]
                 grant = AwardGrant(
                     award_id=row["award_id"], year_conferred=int(row["year"])
                 )
-                grants.setdefault(row["author_id"], []).append(grant)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(str(path), lineno, f"bad award row: {exc}") from exc
+            if author_id not in authors:
+                raise ParseError(
+                    str(path), lineno, f"award grant for unknown author {author_id!r}"
+                )
+            if grant.award_id not in catalog:
+                raise ParseError(
+                    str(path), lineno,
+                    f"{author_id}: grant references unknown award {grant.award_id!r}",
+                )
+            grants.setdefault(author_id, []).append(grant)
     return grants
 
 
@@ -240,19 +288,12 @@ def load_corpus(
     awards_path: str | Path | None = None,
     catalog_path: str | Path | None = None,
 ) -> tuple[AuthorCorpus, CleaningReport]:
-    """Load a full corpus; grants referencing unknown award ids fail."""
+    """Load a full corpus; grants referencing unknown authors or award ids
+    fail."""
     authors, report = load_authors(authors_path)
     catalog = load_catalog(catalog_path) if catalog_path else {}
-    grants = load_grants(awards_path) if awards_path else {}
+    grants = load_grants(awards_path, authors, catalog) if awards_path else {}
     for author_id, author_grants in grants.items():
-        if author_id not in authors:
-            raise ValueError(f"award grant for unknown author {author_id!r}")
-        for grant in author_grants:
-            if grant.award_id not in catalog:
-                raise ValueError(
-                    f"{author_id}: grant references unknown award "
-                    f"{grant.award_id!r}"
-                )
         profile = authors[author_id]
         authors[author_id] = AuthorProfile(
             author_id=profile.author_id,

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -173,6 +174,45 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match=message) as err:
             load_corpus(path)
         assert str(err.value).startswith(f"{path}:2: ")
+
+    @pytest.mark.parametrize(
+        "cites, message",
+        [
+            ('{"2001": 5, "2001": 9}', "duplicate key '2001'"),
+            ('{"2001": 5, "02001": 7}', "'02001' is not a canonical decimal year"),
+            ('{" 2002": 5}', "' 2002' is not a canonical decimal year"),
+            ('{"2_003": 5}', "'2_003' is not a canonical decimal year"),
+        ],
+    )
+    def test_colliding_citation_years_fail_with_location(self, tmp_path, cites, message):
+        path = tmp_path / "authors.jsonl"
+        path.write_text(
+            '{"author_id": "a0", "publications": []}\n'
+            '{"author_id": "a1", "publications": [{"pub_id": "p1", "year": 2000, '
+            f'"authors": 2, "cites": {cites}}}]}}\n'
+        )
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            load_corpus(path)
+        assert str(err.value).startswith(f"{path}:2: ")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("zz,aw,2001", "award grant for unknown author 'zz'"),
+            ("a1,ghost,2001", "a1: grant references unknown award 'ghost'"),
+        ],
+    )
+    def test_bad_grant_fails_with_location(self, tmp_path, row, message):
+        (tmp_path / "authors.jsonl").write_text(
+            '{"author_id": "a1", "publications": []}\n'
+        )
+        awards = tmp_path / "awards.csv"
+        awards.write_text(f"author_id,award_id,year\na1,aw,2000\n{row}\n")
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text("award_id,name,total_laureates\naw,Prize,5\n")
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            load_corpus(tmp_path / "authors.jsonl", awards, catalog)
+        assert str(err.value).startswith(f"{awards}:3: ")
 
     def test_duplicate_catalog_id_fails_with_location(self, tmp_path):
         (tmp_path / "authors.jsonl").write_text("")
