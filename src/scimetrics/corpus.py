@@ -12,8 +12,6 @@ import numpy as np
 
 VALID_YEAR_RANGE = (1950, 2030)
 
-FIELD_TAGS = ("biology", "computer-science", "economics", "physics", "other")
-
 NORMALIZERS = ("none", "author_count", "sqrt_author_count")
 
 

@@ -61,15 +61,19 @@ def h_index(v: CitationVector) -> int:
 
 
 def c_index(v: CitationVector) -> float:
-    """Total citations over all papers."""
-    return float(sum(v.entries))
+    """Total citations over all papers, added left to right (the built-in
+    sum is compensated from Python 3.12 on)."""
+    total = 0.0
+    for c in v.entries:
+        total += c
+    return total
 
 
 def mu_index(v: CitationVector) -> float:
     """Mean citations per paper; 0 for an empty record."""
     if not v.entries:
         return 0.0
-    return sum(v.entries) / len(v.entries)
+    return c_index(v) / len(v.entries)
 
 
 def g_index(v: CitationVector) -> int:
@@ -213,7 +217,7 @@ def _base_columns(entries: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, ...]:
     rows = np.arange(len(n))
     rank = np.arange(1, entries.shape[1] + 1)
     h = _h_column(entries)
-    running = np.cumsum(entries, axis=1)  # left to right, like sum()
+    running = np.cumsum(entries, axis=1)  # left to right, like c_index
     total = np.where(n > 0, running[rows, n - 1], 0.0)
     g = np.where(running >= rank * rank, rank, 0).max(axis=1)
     top = np.where(n > 0, entries[:, 0], 0.0)

@@ -17,7 +17,7 @@ import csv
 import json
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .corpus import (
@@ -43,7 +43,6 @@ class RawPublication:
     """A publication as it appears in an export, before cleaning."""
 
     pub_id: str
-    title: str = ""
     declared_year: int | None = None
     author_count: int | None = None
     citations_by_year: dict[int, int] = field(default_factory=dict)
@@ -171,7 +170,6 @@ def _parse_author_line(obj: dict, path: str, lineno: int) -> tuple[dict, list[Ra
             pubs.append(
                 RawPublication(
                     pub_id=str(p["pub_id"]),
-                    title=str(p.get("title", "")),
                     declared_year=_integer(p.get("year"), "year"),
                     author_count=_integer(p.get("authors"), "authors"),
                     citations_by_year=cites,
@@ -294,14 +292,7 @@ def load_corpus(
     catalog = load_catalog(catalog_path) if catalog_path else {}
     grants = load_grants(awards_path, authors, catalog) if awards_path else {}
     for author_id, author_grants in grants.items():
-        profile = authors[author_id]
-        authors[author_id] = AuthorProfile(
-            author_id=profile.author_id,
-            display_name=profile.display_name,
-            field_tag=profile.field_tag,
-            publications=profile.publications,
-            awards=tuple(author_grants),
-        )
+        authors[author_id] = replace(authors[author_id], awards=tuple(author_grants))
     return AuthorCorpus(authors=authors, catalog=catalog), report
 
 

@@ -4,17 +4,19 @@ Produces controllable authorship regimes at desk scale: `classic` (small
 constant team sizes), `growing` (mean team size rising linearly over the
 years), and `hyper` (a fraction of authors additionally joins consortium
 papers with thousands of authors from an onset year on).  Awards are
-conferred each year to the top authors by a latent reputation score, so
+conferred each year to the top authors by a latent measure (c-frac or h),
+taken from the same yearly `measure_columns` the evaluation uses, so
 index-vs-award correlations are meaningful by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .corpus import (
+    VALID_YEAR_RANGE,
     AuthorCorpus,
     AuthorProfile,
     AwardCatalogEntry,
@@ -22,7 +24,7 @@ from .corpus import (
     PublicationRecord,
     snapshot_at,
 )
-from .indices import Measure, compute_measure
+from .indices import Measure, measure_columns
 
 REGIMES = ("classic", "growing", "hyper")
 LATENT_SCORES = ("c-frac", "h")
@@ -51,8 +53,15 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_authors < 0:
             raise ValueError("n_authors must be >= 0")
+        lo, hi = VALID_YEAR_RANGE
+        if self.start_year < lo:
+            raise ValueError(f"start_year must be >= {lo}")
+        if self.end_year > hi:
+            raise ValueError(f"end_year must be <= {hi}")
         if self.start_year > self.end_year:
             raise ValueError("start_year must not exceed end_year")
+        if self.award_start_year < self.start_year:
+            raise ValueError("award_start_year must not precede start_year")
         if self.team_size_regime not in REGIMES:
             raise ValueError(f"unknown regime {self.team_size_regime!r}")
         if self.latent_reputation not in LATENT_SCORES:
@@ -96,12 +105,12 @@ def _is_hyper_author(config: SynthConfig, index: int) -> bool:
 
 
 def _draw_citations(
-    rng: np.random.Generator, first_year: int, last_year: int, rate: float
+    rng: np.random.Generator, years: list[int], rate: float
 ) -> dict[int, int]:
-    draws = rng.poisson(rate, size=last_year - first_year + 1)
-    return {
-        first_year + i: int(c) for i, c in enumerate(draws) if c > 0
-    }
+    """A Poisson count for each of `years`, keeping the nonzero ones.  The
+    keys are the caller's int objects, so every paper shares one per year."""
+    draws = rng.poisson(rate, size=len(years))
+    return {year: c for year, c in zip(years, draws.tolist()) if c > 0}
 
 
 def generate(config: SynthConfig) -> AuthorCorpus:
@@ -110,41 +119,33 @@ def generate(config: SynthConfig) -> AuthorCorpus:
     streams = np.random.SeedSequence(config.rng_seed).spawn(max(config.n_authors, 1))
     authors: dict[str, AuthorProfile] = {}
     width = max(len(str(max(config.n_authors - 1, 0))), 3)
+    years = list(range(config.start_year, config.end_year + 1))
+    # A batch of papers: (papers per year, smallest team, Poisson mean of the
+    # authors beyond it, citations per paper-year).
+    consortium = (
+        config.hyper_paper_rate, 2, config.hyper_team_mean,
+        config.citations_per_paper_year * config.hyper_citation_boost,
+    )
     for idx in range(config.n_authors):
         rng = np.random.default_rng(streams[idx])
         author_id = f"a{idx:0{width}d}"
         pubs: list[PublicationRecord] = []
         hyper = _is_hyper_author(config, idx)
-        for year in range(config.start_year, config.end_year + 1):
-            mean_team = team_size_mean(config, year)
-            for _ in range(int(rng.poisson(config.pubs_per_year))):
-                team = 1 + int(rng.poisson(max(mean_team - 1.0, 0.0)))
-                pubs.append(
-                    PublicationRecord(
-                        pub_id=f"{author_id}-p{len(pubs):04d}",
-                        effective_year=year,
-                        author_count=team,
-                        citations_by_year=_draw_citations(
-                            rng, year, config.end_year,
-                            config.citations_per_paper_year,
-                        ),
-                    )
-                )
+        for offset, year in enumerate(years):
+            batches = [(
+                config.pubs_per_year, 1, max(team_size_mean(config, year) - 1.0, 0.0),
+                config.citations_per_paper_year,
+            )]
             if hyper and year >= config.hyper_onset_year:
-                for _ in range(int(rng.poisson(config.hyper_paper_rate))):
-                    team = 2 + int(rng.poisson(config.hyper_team_mean))
-                    pubs.append(
-                        PublicationRecord(
-                            pub_id=f"{author_id}-p{len(pubs):04d}",
-                            effective_year=year,
-                            author_count=team,
-                            citations_by_year=_draw_citations(
-                                rng, year, config.end_year,
-                                config.citations_per_paper_year
-                                * config.hyper_citation_boost,
-                            ),
-                        )
-                    )
+                batches.append(consortium)
+            for paper_rate, smallest, extra, citation_rate in batches:
+                for _ in range(int(rng.poisson(paper_rate))):
+                    team = smallest + int(rng.poisson(extra))
+                    cites = _draw_citations(rng, years[offset:], citation_rate)
+                    pubs.append(PublicationRecord(
+                        pub_id=f"{author_id}-p{len(pubs):04d}", effective_year=year,
+                        author_count=team, citations_by_year=cites,
+                    ))
         authors[author_id] = AuthorProfile(
             author_id=author_id,
             display_name=f"Synthetic Author {idx}",
@@ -153,33 +154,10 @@ def generate(config: SynthConfig) -> AuthorCorpus:
         )
     catalog, grants = _confer_awards(config, authors)
     authors = {
-        aid: AuthorProfile(
-            author_id=profile.author_id,
-            display_name=profile.display_name,
-            field_tag=profile.field_tag,
-            publications=profile.publications,
-            awards=tuple(grants.get(aid, ())),
-        )
+        aid: replace(profile, awards=tuple(grants.get(aid, ())))
         for aid, profile in authors.items()
     }
     return AuthorCorpus(authors=authors, catalog=catalog)
-
-
-def _cfrac_by_year(
-    config: SynthConfig, authors: dict[str, AuthorProfile]
-) -> dict[str, np.ndarray]:
-    """Fractional citation totals per author for every year, in one pass."""
-    n_years = config.end_year - config.start_year + 1
-    totals = {aid: np.zeros(n_years) for aid in authors}
-    for aid, profile in authors.items():
-        acc = totals[aid]
-        for pub in profile.publications:
-            offset = pub.effective_year - config.start_year
-            per_year = np.zeros(n_years - offset)
-            for year, count in pub.citations_by_year.items():
-                per_year[year - pub.effective_year] = count
-            acc[offset:] += np.cumsum(per_year) / pub.author_count
-    return totals
 
 
 def _confer_awards(
@@ -189,18 +167,12 @@ def _confer_awards(
     grants: dict[str, list[AwardGrant]] = {}
     if config.awards_per_year == 0 or not authors:
         return catalog, grants
+    corpus = AuthorCorpus(authors=authors)
     ids = sorted(authors)
-    if config.latent_reputation == "c-frac":
-        cfrac = _cfrac_by_year(config, authors)
+    latent = Measure(config.latent_reputation)
     for year in range(config.award_start_year, config.end_year + 1):
-        if config.latent_reputation == "c-frac":
-            offset = year - config.start_year
-            scores = {aid: float(cfrac[aid][offset]) for aid in ids}
-        else:
-            snapshot = snapshot_at(AuthorCorpus(authors=authors, catalog={}), year)
-            scores = {
-                aid: compute_measure(aid, snapshot, Measure.H) for aid in ids
-            }
+        column = measure_columns(snapshot_at(corpus, year), ids)[latent]
+        scores = dict(zip(ids, column))
         ranked = sorted(ids, key=lambda a: (-scores[a], a))
         award_id = f"synth-{year}"
         n_laureates = min(config.awards_per_year, len(ids))

@@ -1,19 +1,22 @@
 """The columnar path (snapshot arrays, measure_columns, apply_filter) against
 the per-author reference: equal values of equal type, never approximately."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scimetrics.corpus import (
     AuthorCorpus,
     AuthorProfile,
+    CitationVector,
     PublicationRecord,
+    Snapshot,
     avg_authors_per_publication,
     snapshot_at,
 )
 from scimetrics.errors import DegenerateInputError
 from scimetrics.evaluation import AuthorFilter, apply_filter
-from scimetrics.indices import Measure, compute_all, measure_columns
+from scimetrics.indices import Measure, c_index, compute_all, measure_columns, mu_index
 from scimetrics.synth import SynthConfig, generate
 
 
@@ -104,6 +107,23 @@ class TestMeasureColumns:
         assert measure_columns(snap, [])[Measure.H] == []
         with pytest.raises(KeyError, match="zz"):
             measure_columns(snap, ["a1", "zz"])
+
+    def test_sums_run_left_to_right(self):
+        # 1e16 + 1 rounds back to 1e16, so only a compensated sum (the
+        # built-in sum from Python 3.12 on) reaches 1e16 + 2.
+        entries = (1e16, 1.0, 1.0)
+        vector = CitationVector(entries, (1, 1, 1))
+        assert c_index(vector) == 1e16
+        assert mu_index(vector) == 1e16 / 3
+        pubs = tuple(PublicationRecord(f"p{j}", 2000, 1, {}) for j in range(3))
+        corpus = AuthorCorpus(authors={"a": AuthorProfile("a", "a", "other", pubs)})
+        snap = Snapshot(2000, corpus, np.array(entries))
+        columns = measure_columns(snap, ["a"])
+        reference = compute_all("a", snap)
+        for measure in (Measure.C, Measure.C_FRAC):
+            assert columns[measure] == [reference[measure]] == [1e16]
+        for measure in (Measure.MU, Measure.MU_FRAC):
+            assert columns[measure] == [reference[measure]] == [1e16 / 3]
 
 
 class TestApplyFilterColumns:

@@ -131,6 +131,19 @@ class TestLoadCorpus:
         assert report.rejected_by_reason == {"missing_year": 1, "patent": 1}
         assert len(corpus.authors["a1"].publications) == 5
 
+    def test_title_key_is_accepted_and_ignored(self, tmp_path):
+        pub = {"pub_id": "p1", "year": 2000, "authors": 2, "cites": {"2001": 3}}
+        path = tmp_path / "authors.jsonl"
+        lines = [
+            {"author_id": a, "publications": [dict(pub, **extra)]}
+            for a, extra in (("a1", {}), ("a2", {"title": "On Tied Ranks"}))
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        corpus, report = load_corpus(path)
+        assert report.accepted == 2
+        a1, a2 = (corpus.authors[a].publications for a in ("a1", "a2"))
+        assert a1 == a2
+
     def test_round_trip_identity(self, tmp_path):
         corpus = generate(SynthConfig(n_authors=12, rng_seed=3))
         paths = save_corpus(corpus, tmp_path / "out")

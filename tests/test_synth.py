@@ -3,6 +3,7 @@ import statistics
 import pytest
 
 from scimetrics.corpus import snapshot_at
+from scimetrics.indices import Measure, compute_all
 from scimetrics.ingest import load_corpus, save_corpus
 from scimetrics.synth import SynthConfig, generate, team_size_mean
 
@@ -91,6 +92,25 @@ class TestGenerate:
         n_years = config.end_year - config.award_start_year + 1
         assert total_awards == n_years * config.awards_per_year
 
+    @pytest.mark.parametrize("latent", ["c-frac", "h"])
+    @pytest.mark.parametrize("regime", ["classic", "hyper"])
+    def test_laureates_are_top_authors_by_latent_measure(self, latent, regime):
+        config = SynthConfig(
+            rng_seed=4, n_authors=24, awards_per_year=5, start_year=1995,
+            award_start_year=1997, hyper_onset_year=2003,
+            team_size_regime=regime, latent_reputation=latent,
+        )
+        corpus = generate(config)
+        for year in range(config.award_start_year, config.end_year + 1):
+            snap = snapshot_at(corpus, year)
+            score = {a: compute_all(a, snap)[Measure(latent)] for a in corpus.authors}
+            expected = sorted(score, key=lambda a: (-score[a], a))[:5]
+            laureates = sorted(
+                a.author_id for a in corpus.authors.values()
+                if any(g.award_id == f"synth-{year}" for g in a.awards)
+            )
+            assert laureates == sorted(expected), year
+
     def test_roundtrip_through_ingest(self, tmp_path):
         corpus = generate(SynthConfig(rng_seed=7, n_authors=15))
         paths = save_corpus(corpus, tmp_path)
@@ -109,3 +129,16 @@ class TestGenerate:
             SynthConfig(pubs_per_year=-0.5)
         with pytest.raises(ValueError):
             SynthConfig(hyper_author_fraction=1.5)
+
+    @pytest.mark.parametrize(
+        "years, field",
+        [
+            ({"start_year": 2000}, "award_start_year"),  # awards from 1990
+            ({"start_year": 2015, "end_year": 2019}, "award_start_year"),
+            ({"start_year": 1940, "award_start_year": 1945}, "start_year"),
+            ({"end_year": 2031}, "end_year"),
+        ],
+    )
+    def test_rejects_years_it_cannot_serve(self, years, field):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            SynthConfig(rng_seed=0, n_authors=30, **years)
