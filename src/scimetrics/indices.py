@@ -190,22 +190,6 @@ def compute_measure(author_id: str, snapshot: Snapshot, measure: Measure) -> flo
     return float(func(citation_vector(author_id, snapshot, normalizer=normalizer)))
 
 
-def _sorted_rows(row: np.ndarray, values: np.ndarray, k: int, *aligned: np.ndarray):
-    """Each of k rows' values, descending with ties in input order (as
-    citation_vector sorts), padded with -inf into a k x width matrix, plus
-    each aligned array laid out the same way and padded with 0."""
-    order = np.lexsort((-values, row))
-    n = np.bincount(row, minlength=k)
-    col = np.arange(len(row)) - np.repeat(np.cumsum(n) - n, n)
-    width = max(int(n.max(initial=0)), 1)
-    out = []
-    for source, pad in ((values, -np.inf), *((a, 0) for a in aligned)):
-        matrix = np.full((k, width), pad, dtype=source.dtype)
-        matrix[row, col] = source[order]  # `row` is already grouped, so sorted
-        out.append(matrix)
-    return n, *out
-
-
 def _h_column(entries: np.ndarray) -> np.ndarray:
     """h of every row of a descending, -inf padded matrix."""
     return (entries >= np.arange(1, entries.shape[1] + 1)).sum(axis=1)
@@ -234,30 +218,28 @@ def _base_columns(entries: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, ...]:
     )
 
 
-def measure_columns(snapshot: Snapshot, ids: list[str]) -> dict[Measure, list[float]]:
-    """Every measure's values over `ids`, aligned with them and equal to
-    compute_all's bit for bit.
-
-    Each author's publications in view become one row of a padded matrix per
-    normalizer; every sum runs left to right along a row (np.cumsum), never
-    pairwise, so the floats match the per-vector functions exactly.
-    """
-    row, pub = snapshot.in_view(ids)
-    k = len(ids)
-    cites = snapshot.citations[pub]
-    authors = snapshot.corpus.arrays.author_count[pub]
-    n, raw, raw_authors, inverse = _sorted_rows(row, cites, k, authors, 1.0 / authors)
-    _, frac = _sorted_rows(row, cites / authors, k)
-    _, by_sqrt = _sorted_rows(row, cites / np.sqrt(authors), k)
+def _block_columns(
+    cites: np.ndarray, authors: np.ndarray, n: np.ndarray
+) -> dict[Measure, np.ndarray]:
+    """Every measure of rows holding n[i] papers each, in publication order,
+    padded with -inf citations and author count 1."""
+    # A stable sort keeps ties in publication order, as citation_vector does,
+    # so the author counts line up with it; -inf padding sorts last.  The
+    # normalized layouts are used for their values alone, which ties share.
+    order = np.argsort(-cites, axis=1, kind="stable")
+    raw = np.take_along_axis(cites, order, axis=1)
+    raw_authors = np.take_along_axis(authors, order, axis=1)
+    frac = -np.sort(-(cites / authors), axis=1)
+    by_sqrt = -np.sort(-(cites / np.sqrt(authors)), axis=1)
     traditional = _base_columns(raw, n)
     h = traditional[0]
-    rows = np.arange(k)
+    rows = np.arange(len(n))
     core = np.cumsum(raw_authors, axis=1)[rows, np.maximum(h - 1, 0)]  # int64
     mean_authors = np.where(h > 0, core / np.maximum(h, 1), 1.0)
-    effective_rank = np.cumsum(inverse, axis=1)
+    effective_rank = np.cumsum(1.0 / raw_authors, axis=1)
     covered = raw >= effective_rank
     last = raw.shape[1] - 1 - np.argmax(covered[:, ::-1], axis=1)
-    columns = {
+    return {
         **dict(zip(TRADITIONAL, traditional)),
         **dict(zip(FRACTIONAL, _base_columns(frac, n))),
         Measure.H_I: np.where(h > 0, h / mean_authors, 0.0),
@@ -265,4 +247,35 @@ def measure_columns(snapshot: Snapshot, ids: list[str]) -> dict[Measure, list[fl
         Measure.H_P: np.where(h > 0, h / np.sqrt(mean_authors), 0.0),
         Measure.H_AP: _h_column(by_sqrt),
     }
-    return {m: columns[m].astype(float).tolist() for m in Measure}
+
+
+def measure_columns(snapshot: Snapshot, ids: list[str]) -> dict[Measure, list[float]]:
+    """Every measure's values over `ids`, aligned with them and equal to
+    compute_all's bit for bit.
+
+    Each author's publications in view become one row of a padded matrix,
+    sorted within the row per normalizer; every sum runs left to right along
+    a row (np.cumsum), never pairwise, so the floats match the per-vector
+    functions exactly.  Rows whose paper counts share a power of two form one
+    block no wider than twice its shortest row, so memory stays O(authors +
+    papers) however many papers the most prolific author has.
+    """
+    row, pub = snapshot.in_view(ids)
+    n = np.bincount(row, minlength=len(ids))
+    col = np.arange(len(row)) - np.repeat(np.cumsum(n) - n, n)
+    cites = snapshot.citations[pub]
+    authors = snapshot.corpus.arrays.author_count[pub]
+    block = np.frexp(n)[1]
+    out = np.empty((len(Measure), len(ids)))
+    for b in np.unique(block):
+        rows = np.flatnonzero(block == b)
+        papers = block[row] == b
+        at = (np.searchsorted(rows, row[papers]), col[papers])
+        shape = (len(rows), max(int(n[rows].max()), 1))
+        block_cites = np.full(shape, -np.inf)
+        block_cites[at] = cites[papers]
+        block_authors = np.ones(shape, dtype=authors.dtype)
+        block_authors[at] = authors[papers]
+        columns = _block_columns(block_cites, block_authors, n[rows])
+        out[:, rows] = [columns[m] for m in Measure]
+    return {m: column.tolist() for m, column in zip(Measure, out)}

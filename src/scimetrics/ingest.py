@@ -116,24 +116,34 @@ def _integer(value, what: str) -> int | None:
     return value
 
 
-# Canonical keys of the years a snapshot can observe.  On the common path a
-# lookup is both the check and the conversion, and all parsed years share
-# these int objects instead of holding one each.
+# Canonical keys of the years a snapshot can observe.  A lookup is both the
+# check and the conversion, and all parsed years share these int objects
+# instead of holding one each.
 _YEAR_KEYS = {str(y): y for y in range(VALID_YEAR_RANGE[0], VALID_YEAR_RANGE[1] + 1)}
 
 
 def _citations(raw: dict[str, object]) -> dict[int, object]:
-    """Citation counts by year from keys written as canonical decimals, e.g.
-    "2001"; " 2001", "02001" and "2_001", which int() accepts, are rejected
-    so that no two keys can name one year."""
+    """Citation counts by year from keys written as canonical decimals in the
+    valid year range, e.g. "2001"; " 2001", "02001" and "2_001", which int()
+    accepts, are rejected so that no two keys can name one year, and so are
+    years no snapshot can observe."""
     try:
         return {_YEAR_KEYS[y]: c for y, c in raw.items()}
-    except KeyError:
-        pass
-    for y in raw:
-        if str(int(y)) != y:
-            raise ValueError(f"citation year {y!r} is not a canonical decimal year")
-    return {int(y): c for y, c in raw.items()}
+    except KeyError as exc:
+        lo, hi = VALID_YEAR_RANGE
+        raise ValueError(
+            f"citation year {exc.args[0]!r} is not a canonical decimal year "
+            f"in [{lo}, {hi}]"
+        ) from None
+
+
+def _year(value) -> int | None:
+    """A publication year in the valid range, or null."""
+    year = _integer(value, "year")
+    lo, hi = VALID_YEAR_RANGE
+    if year is not None and not lo <= year <= hi:
+        raise ValueError(f"year {year} outside [{lo}, {hi}]")
+    return year
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -170,7 +180,7 @@ def _parse_author_line(obj: dict, path: str, lineno: int) -> tuple[dict, list[Ra
             pubs.append(
                 RawPublication(
                     pub_id=str(p["pub_id"]),
-                    declared_year=_integer(p.get("year"), "year"),
+                    declared_year=_year(p.get("year")),
                     author_count=_integer(p.get("authors"), "authors"),
                     citations_by_year=cites,
                     is_patent=_flag(p, "is_patent"),
@@ -220,12 +230,15 @@ def load_authors(path: str | Path) -> tuple[dict[str, AuthorProfile], CleaningRe
                 raise ParseError(
                     str(path), lineno, f"duplicate author_id {meta['author_id']!r}"
                 )
-            authors[meta["author_id"]] = AuthorProfile(
-                author_id=meta["author_id"],
-                display_name=meta["name"],
-                field_tag=meta["field"],
-                publications=tuple(cleaned),
-            )
+            try:
+                authors[meta["author_id"]] = AuthorProfile(
+                    author_id=meta["author_id"],
+                    display_name=meta["name"],
+                    field_tag=meta["field"],
+                    publications=tuple(cleaned),
+                )
+            except ValueError as exc:  # a profile check, e.g. duplicate pub_ids
+                raise ParseError(str(path), lineno, str(exc)) from exc
     return authors, report
 
 
@@ -255,8 +268,8 @@ def load_grants(
     authors: dict[str, AuthorProfile],
     catalog: dict[str, AwardCatalogEntry],
 ) -> dict[str, list[AwardGrant]]:
-    """Grants by author; a grant naming an unknown author or award fails at
-    its line."""
+    """Grants by author; a grant naming an unknown author or award, or
+    repeating an earlier row, fails at its line."""
     grants: dict[str, list[AwardGrant]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -276,6 +289,11 @@ def load_grants(
                 raise ParseError(
                     str(path), lineno,
                     f"{author_id}: grant references unknown award {grant.award_id!r}",
+                )
+            if grant in grants.get(author_id, ()):
+                raise ParseError(
+                    str(path), lineno,
+                    f"repeated grant {author_id},{grant.award_id},{grant.year_conferred}",
                 )
             grants.setdefault(author_id, []).append(grant)
     return grants

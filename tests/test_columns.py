@@ -1,6 +1,8 @@
 """The columnar path (snapshot arrays, measure_columns, apply_filter) against
 the per-author reference: equal values of equal type, never approximately."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +126,32 @@ class TestMeasureColumns:
             assert columns[measure] == [reference[measure]] == [1e16]
         for measure in (Measure.MU, Measure.MU_FRAC):
             assert columns[measure] == [reference[measure]] == [1e16 / 3]
+
+    def test_memory_is_not_authors_times_widest_author(self):
+        # One 2,000-paper author among 2,000 ten-paper authors: a single
+        # matrix as wide as the widest author would take about 250 MB.
+        def papers(count):
+            return tuple(
+                PublicationRecord(f"p{j}", 2000 + j % 5, 1 + j % 4, {2004: j % 7})
+                for j in range(count)
+            )
+
+        authors = {f"a{i}": papers(10) for i in range(2000)}
+        authors["prolific"] = papers(2000)
+        corpus = AuthorCorpus(
+            authors={a: AuthorProfile(a, a, "other", p) for a, p in authors.items()}
+        )
+        snap = snapshot_at(corpus, 2005)
+        ids = list(authors)
+        tracemalloc.start()
+        try:
+            columns = measure_columns(snap, ids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak
+        reference = compute_all("prolific", snap)
+        assert [columns[m][-1] for m in Measure] == [reference[m] for m in Measure]
 
 
 class TestApplyFilterColumns:

@@ -174,6 +174,10 @@ class TestLoadCorpus:
             ({"year": "2000"}, "year must be an integer"),
             ({"is_patent": "false"}, "is_patent must be true or false"),
             ({"is_duplicate": 0}, "is_duplicate must be true or false"),
+            ({"year": 3000}, "year 3000 outside"),
+            ({"year": 1949}, "year 1949 outside"),
+            ({"cites": {"2100": 1}}, "'2100' is not a canonical decimal year"),
+            ({"cites": {"1900": 1}}, "'1900' is not a canonical decimal year"),
         ],
     )
     def test_bad_publication_fails_with_location(self, tmp_path, pub, message):
@@ -185,6 +189,18 @@ class TestLoadCorpus:
             + "\n"
         )
         with pytest.raises(ParseError, match=message) as err:
+            load_corpus(path)
+        assert str(err.value).startswith(f"{path}:2: ")
+
+    def test_duplicate_pub_id_fails_with_location(self, tmp_path):
+        pub = {"pub_id": "p1", "year": 2000, "authors": 2}
+        path = tmp_path / "authors.jsonl"
+        path.write_text(
+            '{"author_id": "a0", "publications": []}\n'
+            + json.dumps({"author_id": "a1", "publications": [pub, pub]})
+            + "\n"
+        )
+        with pytest.raises(ParseError, match="a1: duplicate pub_ids") as err:
             load_corpus(path)
         assert str(err.value).startswith(f"{path}:2: ")
 
@@ -213,6 +229,7 @@ class TestLoadCorpus:
         [
             ("zz,aw,2001", "award grant for unknown author 'zz'"),
             ("a1,ghost,2001", "a1: grant references unknown award 'ghost'"),
+            ("a1,aw,2000", "repeated grant a1,aw,2000"),
         ],
     )
     def test_bad_grant_fails_with_location(self, tmp_path, row, message):
