@@ -116,33 +116,36 @@ def _integer(value, what: str) -> int | None:
     return value
 
 
-# Canonical keys of the years a snapshot can observe.  A lookup is both the
-# check and the conversion, and all parsed years share these int objects
-# instead of holding one each.
+# Canonical keys of the years a snapshot can observe.  On the common path a
+# lookup is both the check and the conversion, and all parsed years share
+# these int objects instead of holding one each.
 _YEAR_KEYS = {str(y): y for y in range(VALID_YEAR_RANGE[0], VALID_YEAR_RANGE[1] + 1)}
 
 
 def _citations(raw: dict[str, object]) -> dict[int, object]:
-    """Citation counts by year from keys written as canonical decimals in the
-    valid year range, e.g. "2001"; " 2001", "02001" and "2_001", which int()
-    accepts, are rejected so that no two keys can name one year, and so are
-    years no snapshot can observe."""
+    """Citation counts by year from keys written as canonical decimals, e.g.
+    "2001"; " 2001", "02001" and "2_001", which int() accepts, are rejected
+    so that no two keys can name one year, and so are years after the last
+    one a snapshot can observe.  Earlier years are counted at every
+    snapshot."""
     try:
         return {_YEAR_KEYS[y]: c for y, c in raw.items()}
-    except KeyError as exc:
-        lo, hi = VALID_YEAR_RANGE
-        raise ValueError(
-            f"citation year {exc.args[0]!r} is not a canonical decimal year "
-            f"in [{lo}, {hi}]"
-        ) from None
+    except KeyError:
+        pass
+    for y in raw:
+        if str(int(y)) != y:
+            raise ValueError(f"citation year {y!r} is not a canonical decimal year")
+        if int(y) > VALID_YEAR_RANGE[1]:
+            raise ValueError(f"citation year {y} after {VALID_YEAR_RANGE[1]}")
+    return {int(y): c for y, c in raw.items()}
 
 
 def _year(value) -> int | None:
-    """A publication year in the valid range, or null."""
+    """A publication year a snapshot can observe, or null; a year before the
+    first snapshot is in view at every one."""
     year = _integer(value, "year")
-    lo, hi = VALID_YEAR_RANGE
-    if year is not None and not lo <= year <= hi:
-        raise ValueError(f"year {year} outside [{lo}, {hi}]")
+    if year is not None and year > VALID_YEAR_RANGE[1]:
+        raise ValueError(f"year {year} after {VALID_YEAR_RANGE[1]}")
     return year
 
 
