@@ -93,7 +93,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for reason in sorted(report.rejected_by_reason):
         print(f"  {reason}: {report.rejected_by_reason[reason]}")
     if args.report:
-        report.write_csv(Path(args.report))
+        _atomic_write(Path(args.report), report.csv_text())
     if args.reject_log:
         rows = [["author_id", "pub_id", "reason"], *report.reject_log]
         _atomic_write(Path(args.reject_log), _csv_text(rows))

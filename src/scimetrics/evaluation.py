@@ -15,7 +15,17 @@ from .indices import Measure, measure_columns
 
 AWARD_MODES = ("equal_weight", "selective_weight", "binary")
 FILTER_MODES = ("all", "no_hyperauthors", "bottom_half_citations", "peak_in_window")
-CRITERIA = ("tau_b", "auc", "somers_d", "gamma", "rho")
+# Each criterion's statistic over aligned (measure values, award scores).
+_STATISTICS = {
+    "tau_b": rankcorr.kendall_tau_b,
+    "auc": lambda measure_values, award_values: rankcorr.roc_curve(
+        measure_values, award_values
+    ).auc,
+    "somers_d": rankcorr.somers_d,
+    "gamma": rankcorr.goodman_gamma,
+    "rho": rankcorr.spearman_rho,
+}
+CRITERIA = tuple(_STATISTICS)
 
 
 @dataclass(frozen=True)
@@ -142,54 +152,12 @@ def apply_filter(
 
 
 def apply_criterion(criterion: str, measure_values, award_values) -> float:
-    """Dispatch a named criterion over aligned value sequences."""
-    if criterion == "tau_b":
-        return rankcorr.kendall_tau_b(measure_values, award_values)
-    if criterion == "auc":
-        return rankcorr.roc_curve(measure_values, award_values).auc
-    if criterion == "somers_d":
-        return rankcorr.somers_d(measure_values, award_values)
-    if criterion == "gamma":
-        return rankcorr.goodman_gamma(measure_values, award_values)
-    if criterion == "rho":
-        return rankcorr.spearman_rho(measure_values, award_values)
-    raise ValueError(f"unknown criterion {criterion!r}")
-
-
-def _year_columns(
-    corpus: AuthorCorpus,
-    year: int,
-    award_year: int,
-    scheme: AwardScheme,
-    author_filter: AuthorFilter,
-) -> tuple[dict[Measure, list[float]], list[float]]:
-    """Measure columns at `year` and award scores by `award_year`, both
-    aligned with the authors the filter keeps."""
-    snapshot = snapshot_at(corpus, year)
-    ids = apply_filter(corpus, snapshot, author_filter)
-    scores = award_scores(corpus, award_year, scheme)
-    return measure_columns(snapshot, ids), [scores[a] for a in ids]
-
-
-def _cell(
-    measure: Measure,
-    criterion: str,
-    year: int,
-    columns: dict[Measure, list[float]],
-    awards: list[float],
-) -> float:
-    """One criterion value; a degenerate one names year, measure, criterion."""
-    if len(awards) < 2:
-        raise DegenerateInputError(
-            f"fewer than 2 authors at year {year} after filtering"
-        )
+    """A named criterion over aligned value sequences."""
     try:
-        return apply_criterion(criterion, columns[measure], awards)
-    except DegenerateInputError as exc:
-        raise DegenerateInputError(
-            f"{criterion} degenerate at year {year} "
-            f"for measure {measure.value}: {exc}"
-        ) from exc
+        statistic = _STATISTICS[criterion]
+    except KeyError:
+        raise ValueError(f"unknown criterion {criterion!r}") from None
+    return statistic(measure_values, award_values)
 
 
 def effectiveness(
@@ -213,9 +181,14 @@ def predictive_power(
     scheme: AwardScheme = AwardScheme(),
     author_filter: AuthorFilter = AuthorFilter(),
 ) -> float:
-    """Correlation of a measure at year Y with awards held by Y + horizon."""
-    columns, awards = _year_columns(corpus, year, year + horizon, scheme, author_filter)
-    return _cell(measure, criterion, year, columns, awards)
+    """Correlation of a measure at year Y with awards held by Y + horizon:
+    the one-year series, whose gap raises its reason."""
+    cell = series(
+        corpus, measure, criterion, (year, year), horizon, scheme, author_filter
+    )
+    if cell.values[0] is None:
+        raise DegenerateInputError(cell.gap_reasons[0])
+    return cell.values[0]
 
 
 def series_grid(
@@ -229,8 +202,10 @@ def series_grid(
 ) -> dict[tuple[Measure, str], EvaluationSeries]:
     """Per-year evaluation of every (measure, criterion) over [start, end].
 
-    Each year's snapshot, filter, award scores and measure columns are built
-    once and shared by all cells; degenerate cells become gaps.
+    Each year's snapshot, filter, award scores (by year + horizon) and
+    measure columns are built once and shared by all cells.  This is the one
+    place a year becomes criterion values: a degenerate cell is a gap, and
+    its gap reason says why.
     """
     start, end = year_range
     if start > end:
@@ -245,19 +220,29 @@ def series_grid(
     reasons: dict[tuple[Measure, str], list[str | None]] = {k: [] for k in values}
     counts = []
     for year in years:
-        nobody = None
+        snapshot = snapshot_at(corpus, year)
         try:
-            columns, awards = _year_columns(
-                corpus, year, year + horizon, scheme, author_filter
-            )
+            ids = apply_filter(corpus, snapshot, author_filter)
         except DegenerateInputError as exc:  # the filter keeps nobody
-            columns, awards, nobody = {}, [], str(exc)
-        counts.append(len(awards))
+            ids, gap = [], str(exc)
+        else:
+            scores = award_scores(corpus, year + horizon, scheme)
+            awards = [scores[a] for a in ids]
+            columns = measure_columns(snapshot, ids)
+            gap = None
+            if len(ids) < 2:
+                gap = f"fewer than 2 authors at year {year} after filtering"
+        counts.append(len(ids))
         for (measure, criterion), cell in values.items():
-            try:
-                value, reason = _cell(measure, criterion, year, columns, awards), None
-            except DegenerateInputError as exc:
-                value, reason = None, nobody or str(exc)
+            value, reason = None, gap
+            if gap is None:
+                try:
+                    value = apply_criterion(criterion, columns[measure], awards)
+                except DegenerateInputError as exc:
+                    reason = (
+                        f"{criterion} degenerate at year {year} "
+                        f"for measure {measure.value}: {exc}"
+                    )
             cell.append(value)
             reasons[measure, criterion].append(reason)
     return {

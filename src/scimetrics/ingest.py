@@ -5,8 +5,9 @@ Formats:
                  {"author_id", "name", "field", "publications": [
                      {"pub_id", "year", "authors", "cites": {year: count},
                       "is_patent"?, "is_duplicate"?}]}
-                 with integer year, authors and counts, and boolean flags;
-                 an optional first line {"schema_version": 1} is honored.
+                 with string ids, name and field, integer year, authors and
+                 counts, and boolean flags; an optional first line
+                 {"schema_version": 1} is honored.
   awards.csv     header author_id,award_id,year
   catalog.csv    header award_id,name,total_laureates
 """
@@ -14,6 +15,7 @@ Formats:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import string
 from collections import Counter
@@ -68,13 +70,15 @@ class CleaningReport:
         self.rejected_by_reason[reason] += 1
         self.reject_log.append((author_id, pub_id, reason))
 
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["reason", "count"])
-            writer.writerow(["accepted", self.accepted])
-            for reason in sorted(self.rejected_by_reason):
-                writer.writerow([reason, self.rejected_by_reason[reason]])
+    def csv_text(self) -> str:
+        """Counts by reason as CSV text (the csv default dialect, CRLF rows)."""
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["reason", "count"])
+        writer.writerow(["accepted", self.accepted])
+        for reason in sorted(self.rejected_by_reason):
+            writer.writerow([reason, self.rejected_by_reason[reason]])
+        return buf.getvalue()
 
 
 def clean_publication(
@@ -168,80 +172,88 @@ def _flag(p: dict, key: str) -> bool:
     return value
 
 
-def _parse_author_line(obj: dict, path: str, lineno: int) -> tuple[dict, list[RawPublication]]:
-    try:
-        meta = {
-            "author_id": str(obj["author_id"]),
-            "name": str(obj.get("name", "")),
-            "field": str(obj.get("field", "other")),
-        }
-        pubs = []
-        for p in obj.get("publications", []):
-            cites = _citations(p.get("cites") or {})
-            if not all(type(c) is int for c in cites.values()):
-                raise ValueError(f"citation counts must be integers: {cites}")
-            pubs.append(
-                RawPublication(
-                    pub_id=str(p["pub_id"]),
-                    declared_year=_year(p.get("year")),
-                    author_count=_integer(p.get("authors"), "authors"),
-                    citations_by_year=cites,
-                    is_patent=_flag(p, "is_patent"),
-                    is_duplicate=_flag(p, "is_duplicate"),
-                )
-            )
-        return meta, pubs
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(path, lineno, f"bad author record: {exc}") from exc
+def _object(value, what: str) -> dict:
+    """A JSON object; arrays and scalars are rejected, never iterated."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _string(obj: dict, key: str, default: str | None = None) -> str:
+    """A JSON string, or `default` when the key is absent and there is one;
+    numbers and null are rejected, never converted."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _raw_publication(p) -> RawPublication:
+    p = _object(p, "publication")
+    cites = p.get("cites")  # absent or null: no citations
+    cites = _citations({} if cites is None else _object(cites, "cites"))
+    if not all(type(c) is int for c in cites.values()):
+        raise ValueError(f"citation counts must be integers: {cites}")
+    return RawPublication(
+        pub_id=_string(p, "pub_id"),
+        declared_year=_year(p.get("year")),
+        author_count=_integer(p.get("authors"), "authors"),
+        citations_by_year=cites,
+        is_patent=_flag(p, "is_patent"),
+        is_duplicate=_flag(p, "is_duplicate"),
+    )
 
 
 def load_authors(path: str | Path) -> tuple[dict[str, AuthorProfile], CleaningReport]:
-    """Load and clean an authors.jsonl file."""
+    """Load and clean an authors.jsonl file.  Whatever is wrong with a line,
+    from its JSON to a repeated author_id, fails as one ParseError naming
+    path:line."""
     authors: dict[str, AuthorProfile] = {}
     report = CleaningReport()
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                obj = json.loads(line, object_pairs_hook=_unique_keys)
-            except ValueError as exc:  # JSONDecodeError or a duplicate key
-                raise ParseError(str(path), lineno, f"invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(str(path), lineno, "expected a JSON object")
-            if "schema_version" in obj and "author_id" not in obj:
-                if obj["schema_version"] != SCHEMA_VERSION:
-                    raise ParseError(
-                        str(path), lineno,
-                        f"unsupported schema_version {obj['schema_version']}",
-                    )
-                continue
-            meta, raw_pubs = _parse_author_line(obj, str(path), lineno)
-            cleaned = []
-            for raw in raw_pubs:
-                try:
-                    record, reason = clean_publication(raw)
-                except ValueError as exc:  # a record check, e.g. negative cites
-                    raise ParseError(str(path), lineno, str(exc)) from exc
-                if record is None:
-                    report.record_reject(meta["author_id"], raw.pub_id, reason)
-                else:
-                    report.accepted += 1
-                    cleaned.append(record)
-            if meta["author_id"] in authors:
-                raise ParseError(
-                    str(path), lineno, f"duplicate author_id {meta['author_id']!r}"
+                obj = _object(
+                    json.loads(line, object_pairs_hook=_unique_keys), "the line"
                 )
-            try:
-                authors[meta["author_id"]] = AuthorProfile(
-                    author_id=meta["author_id"],
-                    display_name=meta["name"],
-                    field_tag=meta["field"],
+                if "schema_version" in obj and "author_id" not in obj:
+                    if obj["schema_version"] != SCHEMA_VERSION:
+                        raise ValueError(
+                            f"unsupported schema_version {obj['schema_version']}"
+                        )
+                    continue
+                author_id = _string(obj, "author_id")
+                if author_id in authors:
+                    raise ValueError(f"duplicate author_id {author_id!r}")
+                publications = obj.get("publications", [])
+                if not isinstance(publications, list):
+                    raise ValueError(
+                        "publications must be a JSON array, "
+                        f"got {type(publications).__name__}"
+                    )
+                cleaned = []
+                for p in publications:
+                    raw = _raw_publication(p)
+                    record, reason = clean_publication(raw)
+                    if record is None:
+                        report.record_reject(author_id, raw.pub_id, reason)
+                    else:
+                        report.accepted += 1
+                        cleaned.append(record)
+                authors[author_id] = AuthorProfile(
+                    author_id=author_id,
+                    display_name=_string(obj, "name", ""),
+                    field_tag=_string(obj, "field", "other"),
                     publications=tuple(cleaned),
                 )
-            except ValueError as exc:  # a profile check, e.g. duplicate pub_ids
-                raise ParseError(str(path), lineno, str(exc)) from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                # JSONDecodeError and every record and profile check are
+                # ValueErrors; ParseError is one too, so none is raised here.
+                raise ParseError(
+                    str(path), lineno, f"bad author record: {exc}"
+                ) from exc
     return authors, report
 
 

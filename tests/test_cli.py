@@ -53,6 +53,16 @@ class TestValidate:
             ["a", "a2", "missing_authors"],
         ]
 
+    def test_report_written_into_new_directory(self, corpus_dir, tmp_path):
+        report = tmp_path / "new" / "report.csv"
+        assert main(["validate", "--corpus", str(corpus_dir),
+                     "--report", str(report)]) == 0
+        _, cleaning = load_corpus(corpus_dir / "authors.jsonl")
+        assert report.read_bytes() == (
+            f"reason,count\r\naccepted,{cleaning.accepted}\r\n".encode()
+        )
+        assert [p.name for p in report.parent.iterdir()] == ["report.csv"]
+
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main(["validate", "--corpus", str(tmp_path / "nope.jsonl")]) == 1
         assert "error" in capsys.readouterr().err

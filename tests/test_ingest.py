@@ -210,6 +210,60 @@ class TestLoadCorpus:
             load_corpus(path)
         assert str(err.value).startswith(f"{path}:2: ")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('"publications": [7]', "publication must be a JSON object, got int"),
+            (
+                '"publications": [{"pub_id": "p1", "year": 2000, "authors": 2, '
+                '"cites": [1, 2]}]',
+                "cites must be a JSON object, got list",
+            ),
+            ('"publications": {"x": 1}', "publications must be a JSON array, got dict"),
+        ],
+        ids=["publication", "cites", "publications"],
+    )
+    def test_non_object_input_fails_with_location(self, tmp_path, line, message):
+        path = tmp_path / "authors.jsonl"
+        path.write_text(
+            '{"author_id": "a0", "publications": []}\n'
+            f'{{"author_id": "a1", {line}}}\n'
+        )
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            load_corpus(path)
+        assert str(err.value).startswith(f"{path}:2: ")
+
+    @pytest.mark.parametrize(
+        "author, message",
+        [
+            ({"author_id": 7}, "author_id must be a string, got 7"),
+            ({"name": None}, "name must be a string, got None"),
+            ({"field": 3}, "field must be a string, got 3"),
+            (
+                {"publications": [{"pub_id": 7, "year": 2000, "authors": 2}]},
+                "pub_id must be a string, got 7",
+            ),
+        ],
+        ids=["author_id", "name", "field", "pub_id"],
+    )
+    def test_non_string_id_or_name_fails_with_location(self, tmp_path, author, message):
+        path = tmp_path / "authors.jsonl"
+        path.write_text(
+            '{"author_id": "a0", "publications": []}\n'
+            + json.dumps({"author_id": "a1", "publications": [], **author})
+            + "\n"
+        )
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            load_corpus(path)
+        assert str(err.value).startswith(f"{path}:2: ")
+
+    def test_absent_name_and_field_keep_defaults(self, tmp_path):
+        path = tmp_path / "authors.jsonl"
+        path.write_text('{"author_id": "a1", "publications": []}\n')
+        corpus, _ = load_corpus(path)
+        author = corpus.authors["a1"]
+        assert (author.display_name, author.field_tag) == ("", "other")
+
     def test_duplicate_pub_id_fails_with_location(self, tmp_path):
         pub = {"pub_id": "p1", "year": 2000, "authors": 2}
         path = tmp_path / "authors.jsonl"
@@ -300,12 +354,10 @@ class TestLoadCorpus:
         n_pubs = sum(len(a.publications) for a in corpus.authors.values())
         assert report.accepted + report.rejected == n_pubs
 
-    def test_report_csv(self, tmp_path):
+    def test_report_csv(self):
         report = CleaningReport(accepted=5)
         report.record_reject("a1", "p1", "patent")
-        out = tmp_path / "report.csv"
-        report.write_csv(out)
-        assert out.read_text() == "reason,count\naccepted,5\npatent,1\n"
+        assert report.csv_text() == "reason,count\r\naccepted,5\r\npatent,1\r\n"
 
 
 def profile(pid, titles, paper_count=None):
