@@ -87,7 +87,7 @@ def _csv_text(rows: list[list[str]]) -> str:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     corpus, report = _load_corpus(args.corpus)
-    print(f"authors: {len(corpus.authors)}")
+    print(f"authors: {len(corpus.arrays.index)}")
     print(f"publications accepted: {report.accepted}")
     print(f"publications rejected: {report.rejected}")
     for reason in sorted(report.rejected_by_reason):
@@ -103,7 +103,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_indices(args: argparse.Namespace) -> int:
     corpus, _ = _load_corpus(args.corpus)
     measures = _parse_measures(args.measures)
-    ids = sorted(corpus.authors)
+    ids = sorted(corpus.arrays.index)
     columns = measure_columns(snapshot_at(corpus, args.year), ids)
     rows = [["author_id"] + [m.value for m in measures]]
     for i, author_id in enumerate(ids):
@@ -188,7 +188,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_roc(args: argparse.Namespace) -> int:
     corpus, _ = _load_corpus(args.corpus)
     measures = _parse_measures(args.measures)
-    ids = sorted(corpus.authors)
+    ids = sorted(corpus.arrays.index)
     scheme = _scheme_from_args(args)
     scores = evaluation.award_scores(corpus, args.year, scheme)
     awards = [scores[a] for a in ids]
@@ -243,16 +243,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     config = synth.SynthConfig(**overrides)
     corpus = synth.generate(config)
     ingest.save_corpus(corpus, args.out)
-    n_pubs = sum(len(a.publications) for a in corpus.authors.values())
-    team_sizes = [
-        p.author_count for a in corpus.authors.values() for p in a.publications
-    ]
-    mean_team = sum(team_sizes) / len(team_sizes) if team_sizes else 0.0
+    arrays = corpus.arrays
+    n_pubs = len(arrays.pub_id)
+    mean_team = sum(arrays.author_count.tolist()) / n_pubs if n_pubs else 0.0
     print(f"regime: {config.team_size_regime}")
-    print(f"authors: {len(corpus.authors)}")
+    print(f"authors: {len(arrays.index)}")
     print(f"publications: {n_pubs}")
     print(f"mean authors/paper: {_fmt(mean_team)}")
-    print(f"award grants: {sum(len(a.awards) for a in corpus.authors.values())}")
+    print(f"award grants: {sum(map(len, corpus.grants.values()))}")
     return 0
 
 

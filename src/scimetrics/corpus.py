@@ -4,9 +4,10 @@ plus temporal snapshots restricting a corpus to an observation year."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -68,76 +69,221 @@ class AuthorProfile:
             raise ValueError(f"{self.author_id}: duplicate pub_ids")
 
 
-@dataclass(frozen=True)
 class AuthorCorpus:
-    """Authors plus the award catalog their grants reference."""
+    """A corpus as columns (`arrays`), each author's grants and the award
+    catalog the grants reference.
 
-    authors: dict[str, AuthorProfile] = field(default_factory=dict)
-    catalog: dict[str, AwardCatalogEntry] = field(default_factory=dict)
+    The constructor flattens profiles, for tests and library callers; ingest
+    and synth write the columns directly and call `from_columns`.  `authors`
+    rebuilds the profiles from the columns on first use, for the per-author
+    reference path; no CLI command builds it.
+    """
 
-    def __post_init__(self):
-        for author in self.authors.values():
-            for grant in author.awards:
-                if grant.award_id not in self.catalog:
+    def __init__(
+        self,
+        authors: dict[str, AuthorProfile] | None = None,
+        catalog: dict[str, AwardCatalogEntry] | None = None,
+    ):
+        authors = authors or {}
+        columns = ColumnBuilder()
+        for author_id, author in authors.items():
+            for p in author.publications:
+                columns.add_publication(
+                    p.pub_id, p.effective_year, p.author_count, p.citations_by_year
+                )
+            columns.add_author(author_id, author.display_name, author.field_tag)
+        grants = {a: author.awards for a, author in authors.items() if author.awards}
+        self._set(columns.finish(), grants, catalog or {})
+
+    @classmethod
+    def from_columns(
+        cls,
+        arrays: CorpusArrays,
+        grants: dict[str, Sequence[AwardGrant]],
+        catalog: dict[str, AwardCatalogEntry],
+    ) -> AuthorCorpus:
+        """A corpus over columns that are already built."""
+        corpus = cls.__new__(cls)
+        corpus._set(arrays, grants, catalog)
+        return corpus
+
+    def _set(
+        self,
+        arrays: CorpusArrays,
+        grants: dict[str, Sequence[AwardGrant]],
+        catalog: dict[str, AwardCatalogEntry],
+    ) -> None:
+        for author_id, author_grants in grants.items():
+            for grant in author_grants:
+                if grant.award_id not in catalog:
                     raise ValueError(
-                        f"{author.author_id}: unknown award_id {grant.award_id!r}"
+                        f"{author_id}: unknown award_id {grant.award_id!r}"
                     )
+        self.arrays = arrays
+        self.grants = {a: tuple(g) for a, g in grants.items()}
+        self.catalog = catalog
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AuthorCorpus):
+            return NotImplemented
+        return (self.authors, self.catalog) == (other.authors, other.catalog)
 
     @cached_property
-    def arrays(self) -> CorpusArrays:
-        """The corpus flattened into columns, built on first use."""
-        return CorpusArrays.build(self)
+    def authors(self) -> dict[str, AuthorProfile]:
+        """The profiles, in corpus order, rebuilt from the columns."""
+        a = self.arrays
+        pubs = [
+            PublicationRecord(pub_id, year, count, dict(zip(*cites)))
+            for pub_id, year, count, cites in zip(
+                a.pub_id,
+                a.effective_year.tolist(),
+                a.author_count.tolist(),
+                a.citations(0, len(a.pub_id)),
+            )
+        ]
+        starts = a.starts.tolist()
+        return {
+            author_id: AuthorProfile(
+                author_id,
+                a.names[k],
+                a.fields[k],
+                tuple(pubs[starts[k] : starts[k + 1]]),
+                self.grants.get(author_id, ()),
+            )
+            for k, author_id in enumerate(a.index)
+        }
 
 
 @dataclass(frozen=True, eq=False)
 class CorpusArrays:
-    """Publications in author order and citation events in year order.
+    """Authors and their publications as columns, citation events in year
+    order.
 
-    Author k's publications are rows starts[k]:starts[k + 1] of the
-    per-publication columns.  The citation events (pub, count) dated up to
-    year Y are the first events_until[Y - VALID_YEAR_RANGE[0]] events.
+    Author k is the k-th key of `index`, named names[k] in field fields[k];
+    its publications are rows starts[k]:starts[k + 1] of the per-publication
+    columns.  The citation events (pub, year, count) are sorted by year,
+    stably; those dated up to year Y are the first
+    events_until[Y - VALID_YEAR_RANGE[0]] events.
     """
 
     index: dict[str, int]  # author id -> position in corpus order
+    names: list[str]
+    fields: list[str]
     starts: np.ndarray  # int64, one more than there are authors
+    pub_id: list[str]
     effective_year: np.ndarray  # int32 per publication
     author_count: np.ndarray  # int32 per publication
     event_pub: np.ndarray  # int32 per citation event
+    event_year: np.ndarray  # int32 per citation event
     event_count: np.ndarray  # int32 per citation event
     events_until: np.ndarray  # int64 per year of VALID_YEAR_RANGE
 
-    @classmethod
-    def build(cls, corpus: AuthorCorpus) -> CorpusArrays:
-        authors = corpus.authors.values()
-        pubs = [p for author in authors for p in author.publications]
-        cites = [p.citations_by_year for p in pubs]
-        per_pub = np.fromiter(map(len, cites), np.int64, len(pubs))
-        n_events = int(per_pub.sum())
-        # Event columns are sorted by year one at a time, each temporary
-        # dropped once used, so the peak stays near the columns' own size.
-        year = np.fromiter(chain.from_iterable(cites), np.int32, n_events)
-        order = np.argsort(year, kind="stable")
+    @cached_property
+    def _by_publication(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Event years and counts grouped by publication, in year order within
+        one, and where each publication's events begin."""
+        order = np.argsort(self.event_pub, kind="stable")
+        per_pub = np.bincount(self.event_pub, minlength=len(self.pub_id))
+        bounds = np.concatenate(([0], np.cumsum(per_pub)))
+        return self.event_year[order], self.event_count[order], bounds
+
+    def citations(
+        self, first: int, last: int
+    ) -> Iterator[tuple[list[int], list[int]]]:
+        """Each of publications first:last as its citation years, ascending,
+        and the counts of those years."""
+        years, counts, bounds = self._by_publication
+        bounds = bounds[first : last + 1].tolist()
+        lo = bounds[0]
+        years = years[lo : bounds[-1]].tolist()
+        counts = counts[lo : bounds[-1]].tolist()
+        for begin, end in zip(bounds, bounds[1:]):
+            yield years[begin - lo : end - lo], counts[begin - lo : end - lo]
+
+
+class ColumnBuilder:
+    """Appends authors and their publications to column buffers, then
+    `finish`es them, once, into CorpusArrays.
+
+    The integer buffers are array("i"), 4 bytes a value, so a value that does
+    not fit an int32 column fails where it is added, named, instead of in
+    numpy later.
+    """
+
+    def __init__(self) -> None:
+        self.index: dict[str, int] = {}
+        self.names: list[str] = []
+        self.fields: list[str] = []
+        self.starts = array("q", [0])
+        self.pub_id: list[str] = []
+        self.effective_year = array("i")
+        self.author_count = array("i")
+        self.per_pub = array("i")  # citation events of each publication
+        self.event_year = array("i")
+        self.event_count = array("i")
+
+    def add_publication(
+        self,
+        pub_id: str,
+        effective_year: int,
+        author_count: int,
+        citations: dict[int, int],
+    ) -> None:
+        """Append a publication of the author that `add_author` adds next."""
+        try:
+            self.effective_year.append(effective_year)
+            self.author_count.append(author_count)
+            self.event_year.extend(citations)
+            self.event_count.extend(citations.values())
+        except OverflowError:
+            raise ValueError(
+                _outside_int32(effective_year, author_count, citations)
+            ) from None
+        self.per_pub.append(len(citations))
+        self.pub_id.append(pub_id)
+
+    def add_author(self, author_id: str, name: str, field: str) -> None:
+        """Append an author whose publications are the ones added since the
+        previous author."""
+        self.index[author_id] = len(self.names)
+        self.names.append(name)
+        self.fields.append(field)
+        self.starts.append(len(self.pub_id))
+
+    def finish(self) -> CorpusArrays:
+        # Each event buffer is dropped once it is sorted into its column, so
+        # the peak stays near the columns' own size.
+        order = np.argsort(np.frombuffer(self.event_year, np.int32), kind="stable")
+        event_year = np.frombuffer(self.event_year, np.int32)[order]
+        event_count = np.frombuffer(self.event_count, np.int32)[order]
+        self.event_year = self.event_count = None
+        per_pub = np.frombuffer(self.per_pub, np.int32)
+        event_pub = np.repeat(np.arange(len(per_pub), dtype=np.int32), per_pub)[order]
         lo, hi = VALID_YEAR_RANGE
-        events_until = np.searchsorted(year[order], np.arange(lo, hi + 1), "right")
-        del year
-        event_pub = np.repeat(np.arange(len(pubs), dtype=np.int32), per_pub)[order]
-        event_count = np.fromiter(
-            chain.from_iterable(c.values() for c in cites), np.int32, n_events
-        )[order]
-        per_author = np.fromiter((len(a.publications) for a in authors), np.int64)
-        return cls(
-            index={a: k for k, a in enumerate(corpus.authors)},
-            starts=np.concatenate(([0], np.cumsum(per_author))),
-            effective_year=np.fromiter(
-                (p.effective_year for p in pubs), np.int32, len(pubs)
-            ),
-            author_count=np.fromiter(
-                (p.author_count for p in pubs), np.int32, len(pubs)
-            ),
+        return CorpusArrays(
+            index=self.index,
+            names=self.names,
+            fields=self.fields,
+            starts=np.frombuffer(self.starts, np.int64),
+            pub_id=self.pub_id,
+            effective_year=np.frombuffer(self.effective_year, np.int32),
+            author_count=np.frombuffer(self.author_count, np.int32),
             event_pub=event_pub,
+            event_year=event_year,
             event_count=event_count,
-            events_until=events_until,
+            events_until=np.searchsorted(event_year, np.arange(lo, hi + 1), "right"),
         )
+
+
+def _outside_int32(
+    effective_year: int, author_count: int, citations: dict[int, int]
+) -> str:
+    """Names the first value of a publication that does not fit an int32."""
+    named = [("citation year", y) for y in citations]
+    named += [("year", effective_year), ("authors", author_count)]
+    named += [("citation count", c) for c in citations.values()]
+    what, value = next((w, v) for w, v in named if not -(2**31) <= v < 2**31)
+    return f"{what} {value} is outside the 32-bit integer range"
 
 
 @dataclass(frozen=True)
@@ -160,7 +306,7 @@ class Snapshot:
     citations: np.ndarray  # float64 per publication, integer-valued
 
     def __contains__(self, author_id: str) -> bool:
-        return author_id in self.corpus.authors
+        return author_id in self.corpus.arrays.index
 
     @cached_property
     def publications(self) -> dict[str, tuple[SnapshotPublication, ...]]:

@@ -88,9 +88,9 @@ def award_scores(
     """Per-author award score counting grants conferred up to `year`."""
     retained = _retained_award_ids(corpus, scheme)
     scores: dict[str, float] = {}
-    for author_id, author in corpus.authors.items():
+    for author_id in corpus.arrays.index:
         total = 0.0
-        for grant in author.awards:
+        for grant in corpus.grants.get(author_id, ()):
             if grant.year_conferred > year or grant.award_id not in retained:
                 continue
             if (
@@ -111,7 +111,7 @@ def apply_filter(
     corpus: AuthorCorpus, snapshot: Snapshot, author_filter: AuthorFilter
 ) -> list[str]:
     """Author subset (sorted by id) surviving a robustness filter."""
-    ids = sorted(snapshot.corpus.authors)
+    ids = sorted(snapshot.corpus.arrays.index)
     if author_filter.mode == "all":
         kept = ids
     elif author_filter.mode == "no_hyperauthors":
@@ -131,18 +131,21 @@ def apply_filter(
         ranked = np.argsort(totals, kind="stable")  # ties by id, as ids are sorted
         kept = [ids[i] for i in np.sort(ranked[: len(ids) // 2])]
     else:  # peak_in_window, judged on the full corpus history
+        # Each author's busiest year, the earliest of ties: one count per
+        # (author, year) pair that has publications.
+        arrays = corpus.arrays
         start, end = author_filter.window
-        kept = []
-        for a in ids:
-            counts: dict[int, int] = {}
-            for pub in corpus.authors[a].publications:
-                counts[pub.effective_year] = counts.get(pub.effective_year, 0) + 1
-            if not counts:
-                continue
-            peak = max(counts.values())
-            peak_year = min(y for y, c in counts.items() if c == peak)
-            if start <= peak_year < end:
-                kept.append(a)
+        author = np.repeat(np.arange(len(arrays.names)), np.diff(arrays.starts))
+        year = arrays.effective_year.astype(np.int64)
+        low = year.min(initial=0)
+        span = year.max(initial=0) - low + 1
+        pair, count = np.unique(author * span + (year - low), return_counts=True)
+        owner, year = pair // span, pair % span + low
+        best = np.lexsort((year, -count, owner))
+        peak = best[np.diff(owner[best], prepend=-1) > 0]
+        in_window = np.zeros(len(arrays.names), dtype=bool)
+        in_window[owner[peak]] = (start <= year[peak]) & (year[peak] < end)
+        kept = [a for a in ids if in_window[arrays.index[a]]]
     if not kept:
         raise DegenerateInputError(
             f"filter {author_filter.mode!r} leaves no authors at "
@@ -274,7 +277,7 @@ def measure_correlation_matrix(
 ) -> np.ndarray:
     """Symmetric tau_b matrix over per-author measure values; constant
     columns yield NaN (undefined), never 0."""
-    ids = sorted(corpus.authors)
+    ids = sorted(corpus.arrays.index)
     if len(ids) < 2:
         raise DegenerateInputError("need at least 2 authors")
     columns = measure_columns(snapshot_at(corpus, year), ids)

@@ -19,16 +19,17 @@ import io
 import json
 import string
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from collections.abc import Container
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import (
     VALID_YEAR_RANGE,
     AuthorCorpus,
-    AuthorProfile,
     AwardCatalogEntry,
     AwardGrant,
-    PublicationRecord,
+    ColumnBuilder,
+    CorpusArrays,
 )
 from .errors import ParseError
 
@@ -38,18 +39,6 @@ REJECT_MISSING_AUTHORS = "missing_authors"
 REJECT_MISSING_YEAR = "missing_year"
 REJECT_PATENT = "patent"
 REJECT_DUPLICATE = "duplicate"
-
-
-@dataclass(frozen=True)
-class RawPublication:
-    """A publication as it appears in an export, before cleaning."""
-
-    pub_id: str
-    declared_year: int | None = None
-    author_count: int | None = None
-    citations_by_year: dict[int, int] = field(default_factory=dict)
-    is_patent: bool = False
-    is_duplicate: bool = False
 
 
 @dataclass
@@ -81,37 +70,6 @@ class CleaningReport:
         return buf.getvalue()
 
 
-def clean_publication(
-    raw: RawPublication,
-) -> tuple[PublicationRecord | None, str | None]:
-    """Apply the cleaning rules to one raw record.
-
-    Returns (record, None) on acceptance or (None, reason) on rejection.
-    The effective year is the minimum of the declared year and the first
-    citation year, which repairs records cited before their listed date.
-    """
-    if raw.is_patent:
-        return None, REJECT_PATENT
-    if raw.is_duplicate:
-        return None, REJECT_DUPLICATE
-    if raw.author_count is None or raw.author_count < 1:
-        return None, REJECT_MISSING_AUTHORS
-    if raw.declared_year is None:
-        return None, REJECT_MISSING_YEAR
-    effective_year = raw.declared_year
-    if raw.citations_by_year:
-        effective_year = min(effective_year, min(raw.citations_by_year))
-    return (
-        PublicationRecord(
-            pub_id=raw.pub_id,
-            effective_year=effective_year,
-            author_count=raw.author_count,
-            citations_by_year=dict(raw.citations_by_year),
-        ),
-        None,
-    )
-
-
 def _integer(value, what: str) -> int | None:
     """A JSON integer or null; floats and strings are rejected, never
     truncated."""
@@ -126,22 +84,31 @@ def _integer(value, what: str) -> int | None:
 _YEAR_KEYS = {str(y): y for y in range(VALID_YEAR_RANGE[0], VALID_YEAR_RANGE[1] + 1)}
 
 
+def _decimal(text: str, what: str, noun: str = "integer") -> int:
+    """An integer written as a canonical decimal, e.g. "2001"; " 2001",
+    "02001" and "2_001", which int() accepts, are rejected, so that no two
+    spellings name one value."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{what} {text!r} is not a canonical decimal {noun}")
+    return value
+
+
 def _citations(raw: dict[str, object]) -> dict[int, object]:
-    """Citation counts by year from keys written as canonical decimals, e.g.
-    "2001"; " 2001", "02001" and "2_001", which int() accepts, are rejected
-    so that no two keys can name one year, and so are years after the last
-    one a snapshot can observe.  Earlier years are counted at every
-    snapshot."""
+    """Citation counts by year from keys written as canonical decimals;
+    years after the last one a snapshot can observe are rejected.  Earlier
+    years are counted at every snapshot."""
     try:
         return {_YEAR_KEYS[y]: c for y, c in raw.items()}
     except KeyError:
         pass
-    for y in raw:
-        if str(int(y)) != y:
-            raise ValueError(f"citation year {y!r} is not a canonical decimal year")
-        if int(y) > VALID_YEAR_RANGE[1]:
-            raise ValueError(f"citation year {y} after {VALID_YEAR_RANGE[1]}")
-    return {int(y): c for y, c in raw.items()}
+    cites = {}
+    for y, c in raw.items():
+        year = _decimal(y, "citation year", "year")
+        if year > VALID_YEAR_RANGE[1]:
+            raise ValueError(f"citation year {year} after {VALID_YEAR_RANGE[1]}")
+        cites[year] = c
+    return cites
 
 
 def _year(value) -> int | None:
@@ -188,73 +155,83 @@ def _string(obj: dict, key: str, default: str | None = None) -> str:
     return value
 
 
-def _raw_publication(p) -> RawPublication:
-    p = _object(p, "publication")
-    cites = p.get("cites")  # absent or null: no citations
-    cites = _citations({} if cites is None else _object(cites, "cites"))
-    if not all(type(c) is int for c in cites.values()):
-        raise ValueError(f"citation counts must be integers: {cites}")
-    return RawPublication(
-        pub_id=_string(p, "pub_id"),
-        declared_year=_year(p.get("year")),
-        author_count=_integer(p.get("authors"), "authors"),
-        citations_by_year=cites,
-        is_patent=_flag(p, "is_patent"),
-        is_duplicate=_flag(p, "is_duplicate"),
-    )
-
-
-def load_authors(path: str | Path) -> tuple[dict[str, AuthorProfile], CleaningReport]:
-    """Load and clean an authors.jsonl file.  Whatever is wrong with a line,
-    from its JSON to a repeated author_id, fails as one ParseError naming
-    path:line."""
-    authors: dict[str, AuthorProfile] = {}
+def load_authors(path: str | Path) -> tuple[CorpusArrays, CleaningReport]:
+    """Load and clean an authors.jsonl file into columns.  Whatever is wrong
+    with a line, from its JSON to a repeated author_id, fails as one
+    ParseError naming path:line."""
+    columns = ColumnBuilder()
     report = CleaningReport()
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = _object(
-                    json.loads(line, object_pairs_hook=_unique_keys), "the line"
-                )
-                if "schema_version" in obj and "author_id" not in obj:
-                    if obj["schema_version"] != SCHEMA_VERSION:
-                        raise ValueError(
-                            f"unsupported schema_version {obj['schema_version']}"
-                        )
-                    continue
-                author_id = _string(obj, "author_id")
-                if author_id in authors:
-                    raise ValueError(f"duplicate author_id {author_id!r}")
-                publications = obj.get("publications", [])
-                if not isinstance(publications, list):
-                    raise ValueError(
-                        "publications must be a JSON array, "
-                        f"got {type(publications).__name__}"
-                    )
-                cleaned = []
-                for p in publications:
-                    raw = _raw_publication(p)
-                    record, reason = clean_publication(raw)
-                    if record is None:
-                        report.record_reject(author_id, raw.pub_id, reason)
-                    else:
-                        report.accepted += 1
-                        cleaned.append(record)
-                authors[author_id] = AuthorProfile(
-                    author_id=author_id,
-                    display_name=_string(obj, "name", ""),
-                    field_tag=_string(obj, "field", "other"),
-                    publications=tuple(cleaned),
-                )
+                _add_line(columns, report, line)
             except (KeyError, TypeError, ValueError) as exc:
-                # JSONDecodeError and every record and profile check are
+                # JSONDecodeError and every record and column check are
                 # ValueErrors; ParseError is one too, so none is raised here.
                 raise ParseError(
                     str(path), lineno, f"bad author record: {exc}"
                 ) from exc
-    return authors, report
+    return columns.finish(), report
+
+
+def _add_line(columns: ColumnBuilder, report: CleaningReport, line: str) -> None:
+    """Parse one authors.jsonl line and append the author and its accepted
+    publications.
+
+    The cleaning rule: a patent, a duplicate, a record without a positive
+    author count and one without a year are rejected, in that order; an
+    accepted publication's effective year is the minimum of its declared
+    year and its first citation year, which repairs records cited before
+    their listed date.  Every record is type-checked, but only accepted ones
+    have their counts checked for sign and their pub_ids for repeats.
+    """
+    obj = _object(json.loads(line, object_pairs_hook=_unique_keys), "the line")
+    if "schema_version" in obj and "author_id" not in obj:
+        if obj["schema_version"] != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema_version {obj['schema_version']}")
+        return
+    author_id = _string(obj, "author_id")
+    if author_id in columns.index:
+        raise ValueError(f"duplicate author_id {author_id!r}")
+    publications = obj.get("publications", [])
+    if not isinstance(publications, list):
+        raise ValueError(
+            f"publications must be a JSON array, got {type(publications).__name__}"
+        )
+    first = len(columns.pub_id)
+    for p in publications:
+        p = _object(p, "publication")
+        cites = p.get("cites")  # absent or null: no citations
+        cites = _citations({} if cites is None else _object(cites, "cites"))
+        if not all(type(c) is int for c in cites.values()):
+            raise ValueError(f"citation counts must be integers: {cites}")
+        pub_id = _string(p, "pub_id")
+        year = _year(p.get("year"))
+        n_authors = _integer(p.get("authors"), "authors")
+        patent, duplicate = _flag(p, "is_patent"), _flag(p, "is_duplicate")
+        if patent:
+            report.record_reject(author_id, pub_id, REJECT_PATENT)
+        elif duplicate:
+            report.record_reject(author_id, pub_id, REJECT_DUPLICATE)
+        elif n_authors is None or n_authors < 1:
+            report.record_reject(author_id, pub_id, REJECT_MISSING_AUTHORS)
+        elif year is None:
+            report.record_reject(author_id, pub_id, REJECT_MISSING_YEAR)
+        else:
+            for y, c in cites.items():
+                if c < 0:
+                    raise ValueError(f"{pub_id}: negative citation count in {y}")
+            effective_year = min(year, min(cites, default=year))
+            columns.add_publication(pub_id, effective_year, n_authors, cites)
+            report.accepted += 1
+    name = _string(obj, "name", "")
+    field_tag = _string(obj, "field", "other")
+    pub_ids = columns.pub_id[first:]
+    if len(set(pub_ids)) != len(pub_ids):
+        raise ValueError(f"{author_id}: duplicate pub_ids")
+    columns.add_author(author_id, name, field_tag)
 
 
 def load_catalog(path: str | Path) -> dict[str, AwardCatalogEntry]:
@@ -266,7 +243,9 @@ def load_catalog(path: str | Path) -> dict[str, AwardCatalogEntry]:
                 entry = AwardCatalogEntry(
                     award_id=row["award_id"],
                     name=row.get("name", ""),
-                    total_laureates=int(row["total_laureates"]),
+                    total_laureates=_decimal(
+                        row["total_laureates"], "total_laureates"
+                    ),
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(str(path), lineno, f"bad catalog row: {exc}") from exc
@@ -280,11 +259,12 @@ def load_catalog(path: str | Path) -> dict[str, AwardCatalogEntry]:
 
 def load_grants(
     path: str | Path,
-    authors: dict[str, AuthorProfile],
+    author_ids: Container[str],
     catalog: dict[str, AwardCatalogEntry],
 ) -> dict[str, list[AwardGrant]]:
-    """Grants by author; a grant naming an unknown author or award, or
-    repeating an earlier row, fails at its line."""
+    """Grants by author; a grant naming an unknown author or award, dated
+    after the last year a snapshot can observe, or repeating an earlier row,
+    fails at its line."""
     grants: dict[str, list[AwardGrant]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -292,11 +272,12 @@ def load_grants(
             try:
                 author_id = row["author_id"]
                 grant = AwardGrant(
-                    award_id=row["award_id"], year_conferred=int(row["year"])
+                    award_id=row["award_id"],
+                    year_conferred=_year(_decimal(row["year"], "year", "year")),
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(str(path), lineno, f"bad award row: {exc}") from exc
-            if author_id not in authors:
+            if author_id not in author_ids:
                 raise ParseError(
                     str(path), lineno, f"award grant for unknown author {author_id!r}"
                 )
@@ -321,12 +302,10 @@ def load_corpus(
 ) -> tuple[AuthorCorpus, CleaningReport]:
     """Load a full corpus; grants referencing unknown authors or award ids
     fail."""
-    authors, report = load_authors(authors_path)
+    arrays, report = load_authors(authors_path)
     catalog = load_catalog(catalog_path) if catalog_path else {}
-    grants = load_grants(awards_path, authors, catalog) if awards_path else {}
-    for author_id, author_grants in grants.items():
-        authors[author_id] = replace(authors[author_id], awards=tuple(author_grants))
-    return AuthorCorpus(authors=authors, catalog=catalog), report
+    grants = load_grants(awards_path, arrays.index, catalog) if awards_path else {}
+    return AuthorCorpus.from_columns(arrays, grants, catalog), report
 
 
 def save_corpus(corpus: AuthorCorpus, out_dir: str | Path) -> dict[str, Path]:
@@ -338,33 +317,37 @@ def save_corpus(corpus: AuthorCorpus, out_dir: str | Path) -> dict[str, Path]:
         "awards": out / "awards.csv",
         "catalog": out / "catalog.csv",
     }
+    arrays = corpus.arrays
+    starts = arrays.starts.tolist()
+    years = arrays.effective_year.tolist()
+    counts = arrays.author_count.tolist()
     with open(paths["authors"], "w") as fh:
         fh.write(json.dumps({"schema_version": SCHEMA_VERSION}) + "\n")
-        for author_id in sorted(corpus.authors):
-            author = corpus.authors[author_id]
+        for author_id in sorted(arrays.index):
+            k = arrays.index[author_id]
+            first, last = starts[k], starts[k + 1]
             obj = {
-                "author_id": author.author_id,
-                "name": author.display_name,
-                "field": author.field_tag,
+                "author_id": author_id,
+                "name": arrays.names[k],
+                "field": arrays.fields[k],
                 "publications": [
                     {
-                        "pub_id": p.pub_id,
-                        "year": p.effective_year,
-                        "authors": p.author_count,
-                        "cites": {
-                            str(y): p.citations_by_year[y]
-                            for y in sorted(p.citations_by_year)
-                        },
+                        "pub_id": arrays.pub_id[i],
+                        "year": years[i],
+                        "authors": counts[i],
+                        "cites": dict(zip(map(str, cite_years), cite_counts)),
                     }
-                    for p in author.publications
+                    for i, (cite_years, cite_counts) in zip(
+                        range(first, last), arrays.citations(first, last)
+                    )
                 ],
             }
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
     with open(paths["awards"], "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["author_id", "award_id", "year"])
-        for author_id in sorted(corpus.authors):
-            for grant in corpus.authors[author_id].awards:
+        for author_id in sorted(arrays.index):
+            for grant in corpus.grants.get(author_id, ()):
                 writer.writerow([author_id, grant.award_id, grant.year_conferred])
     with open(paths["catalog"], "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -11,17 +11,16 @@ index-vs-award correlations are meaningful by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import (
     VALID_YEAR_RANGE,
     AuthorCorpus,
-    AuthorProfile,
     AwardCatalogEntry,
     AwardGrant,
-    PublicationRecord,
+    ColumnBuilder,
     snapshot_at,
 )
 from .indices import Measure, measure_columns
@@ -117,7 +116,7 @@ def generate(config: SynthConfig) -> AuthorCorpus:
     """Generate a corpus; identical config (incl. seed) gives an identical
     corpus."""
     streams = np.random.SeedSequence(config.rng_seed).spawn(max(config.n_authors, 1))
-    authors: dict[str, AuthorProfile] = {}
+    columns = ColumnBuilder()
     width = max(len(str(max(config.n_authors - 1, 0))), 3)
     years = list(range(config.start_year, config.end_year + 1))
     # A batch of papers: (papers per year, smallest team, Poisson mean of the
@@ -129,7 +128,7 @@ def generate(config: SynthConfig) -> AuthorCorpus:
     for idx in range(config.n_authors):
         rng = np.random.default_rng(streams[idx])
         author_id = f"a{idx:0{width}d}"
-        pubs: list[PublicationRecord] = []
+        first = len(columns.pub_id)
         hyper = _is_hyper_author(config, idx)
         for offset, year in enumerate(years):
             batches = [(
@@ -142,33 +141,24 @@ def generate(config: SynthConfig) -> AuthorCorpus:
                 for _ in range(int(rng.poisson(paper_rate))):
                     team = smallest + int(rng.poisson(extra))
                     cites = _draw_citations(rng, years[offset:], citation_rate)
-                    pubs.append(PublicationRecord(
-                        pub_id=f"{author_id}-p{len(pubs):04d}", effective_year=year,
-                        author_count=team, citations_by_year=cites,
-                    ))
-        authors[author_id] = AuthorProfile(
-            author_id=author_id,
-            display_name=f"Synthetic Author {idx}",
-            field_tag="other",
-            publications=tuple(pubs),
-        )
-    catalog, grants = _confer_awards(config, authors)
-    authors = {
-        aid: replace(profile, awards=tuple(grants.get(aid, ())))
-        for aid, profile in authors.items()
-    }
-    return AuthorCorpus(authors=authors, catalog=catalog)
+                    columns.add_publication(
+                        f"{author_id}-p{len(columns.pub_id) - first:04d}",
+                        year, team, cites,
+                    )
+        columns.add_author(author_id, f"Synthetic Author {idx}", "other")
+    arrays = columns.finish()
+    catalog, grants = _confer_awards(config, AuthorCorpus.from_columns(arrays, {}, {}))
+    return AuthorCorpus.from_columns(arrays, grants, catalog)
 
 
 def _confer_awards(
-    config: SynthConfig, authors: dict[str, AuthorProfile]
+    config: SynthConfig, corpus: AuthorCorpus
 ) -> tuple[dict[str, AwardCatalogEntry], dict[str, list[AwardGrant]]]:
     catalog: dict[str, AwardCatalogEntry] = {}
     grants: dict[str, list[AwardGrant]] = {}
-    if config.awards_per_year == 0 or not authors:
+    if config.awards_per_year == 0 or not corpus.arrays.index:
         return catalog, grants
-    corpus = AuthorCorpus(authors=authors)
-    ids = sorted(authors)
+    ids = sorted(corpus.arrays.index)
     latent = Measure(config.latent_reputation)
     for year in range(config.award_start_year, config.end_year + 1):
         column = measure_columns(snapshot_at(corpus, year), ids)[latent]

@@ -15,8 +15,6 @@ from scimetrics.errors import ParseError
 from scimetrics.ingest import (
     CleaningReport,
     ProfileExport,
-    RawPublication,
-    clean_publication,
     load_corpus,
     match_profiles,
     normalize_title,
@@ -25,83 +23,104 @@ from scimetrics.ingest import (
 from scimetrics.synth import SynthConfig, generate
 
 
+def load_publications(tmp_path, pubs):
+    """load_corpus of one author line holding `pubs`."""
+    path = tmp_path / "authors.jsonl"
+    path.write_text(json.dumps({"author_id": "a1", "publications": pubs}) + "\n")
+    return load_corpus(path)
+
+
 class TestCleanPublication:
-    def test_cited_before_published(self):
-        raw = RawPublication(
-            "p1", declared_year=2010, author_count=3,
-            citations_by_year={2008: 1, 2011: 4},
-        )
-        record, reason = clean_publication(raw)
-        assert reason is None
+    def test_cited_before_published(self, tmp_path):
+        corpus, report = load_publications(tmp_path, [
+            {"pub_id": "p1", "year": 2010, "authors": 3,
+             "cites": {"2008": 1, "2011": 4}},
+        ])
+        assert report.accepted == 1 and report.rejected == 0
+        (record,) = corpus.authors["a1"].publications
         assert record.effective_year == 2008
 
-    def test_patent_rejected(self):
-        record, reason = clean_publication(
-            RawPublication("p1", declared_year=2010, author_count=1, is_patent=True)
-        )
-        assert record is None and reason == "patent"
+    def test_patent_rejected(self, tmp_path):
+        corpus, report = load_publications(tmp_path, [
+            {"pub_id": "p1", "year": 2010, "authors": 1, "is_patent": True},
+        ])
+        assert report.reject_log == [("a1", "p1", "patent")]
+        assert corpus.authors["a1"].publications == ()
 
-    def test_duplicate_rejected(self):
-        record, reason = clean_publication(
-            RawPublication("p1", declared_year=2010, author_count=1,
-                           is_duplicate=True)
-        )
-        assert record is None and reason == "duplicate"
+    def test_duplicate_rejected(self, tmp_path):
+        corpus, report = load_publications(tmp_path, [
+            {"pub_id": "p1", "year": 2010, "authors": 1, "is_duplicate": True},
+        ])
+        assert report.reject_log == [("a1", "p1", "duplicate")]
+        assert corpus.authors["a1"].publications == ()
 
-    def test_missing_authors_rejected(self):
-        record, reason = clean_publication(
-            RawPublication("p1", declared_year=2010, author_count=None)
-        )
-        assert record is None and reason == "missing_authors"
+    def test_missing_authors_rejected(self, tmp_path):
+        corpus, report = load_publications(tmp_path, [
+            {"pub_id": "p1", "year": 2010, "authors": None},
+        ])
+        assert report.reject_log == [("a1", "p1", "missing_authors")]
+        assert corpus.authors["a1"].publications == ()
 
-    def test_missing_year_rejected(self):
-        record, reason = clean_publication(
-            RawPublication("p1", declared_year=None, author_count=2)
-        )
-        assert record is None and reason == "missing_year"
+    def test_missing_year_rejected(self, tmp_path):
+        corpus, report = load_publications(tmp_path, [
+            {"pub_id": "p1", "year": None, "authors": 2},
+        ])
+        assert report.reject_log == [("a1", "p1", "missing_year")]
+        assert corpus.authors["a1"].publications == ()
 
-    def test_idempotent_on_own_output(self):
-        raw = RawPublication(
-            "p1", declared_year=2012, author_count=4,
-            citations_by_year={2009: 2, 2013: 5},
-        )
-        first, _ = clean_publication(raw)
-        again, reason = clean_publication(
-            RawPublication(
-                first.pub_id,
-                declared_year=first.effective_year,
-                author_count=first.author_count,
-                citations_by_year=first.citations_by_year,
-            )
-        )
-        assert reason is None
-        assert again == first
+    def test_idempotent_on_own_output(self, tmp_path):
+        first, _ = load_publications(tmp_path, [
+            {"pub_id": "p1", "year": 2012, "authors": 4,
+             "cites": {"2009": 2, "2013": 5}},
+        ])
+        paths = save_corpus(first, tmp_path / "again")
+        again, report = load_corpus(paths["authors"])
+        assert report.rejected == 0
+        assert again.authors == first.authors
+        (p1,) = again.authors["a1"].publications
+        assert (p1.effective_year, p1.citations_by_year) == (2009, {2009: 2, 2013: 5})
 
-    def test_fuzz_accepted_records_satisfy_invariants(self):
+    def test_fuzz_accepted_records_satisfy_invariants(self, tmp_path):
+        # One file of 100 authors x 100 publications, loaded once; the
+        # expected reason follows the rule's precedence.
         rng = random.Random(31337)
-        total = accepted = 0
-        for _ in range(10000):
-            years = {
-                rng.randint(1960, 2020): rng.randint(0, 50)
-                for _ in range(rng.randint(0, 6))
-            }
-            raw = RawPublication(
-                "p",
-                declared_year=rng.choice([None, rng.randint(1960, 2020)]),
-                author_count=rng.choice([None, rng.randint(1, 3000)]),
-                citations_by_year=years,
-                is_patent=rng.random() < 0.1,
-                is_duplicate=rng.random() < 0.1,
-            )
-            record, reason = clean_publication(raw)
-            total += 1
-            if record is None:
-                assert reason
-                continue
-            accepted += 1
+        lines, expected = [], []
+        for a in range(100):
+            pubs = []
+            for i in range(100):
+                pub = {
+                    "pub_id": f"p{i}",
+                    "year": rng.choice([None, rng.randint(1960, 2020)]),
+                    "authors": rng.choice([None, rng.randint(1, 3000)]),
+                    "cites": {
+                        str(rng.randint(1960, 2020)): rng.randint(0, 50)
+                        for _ in range(rng.randint(0, 6))
+                    },
+                    "is_patent": rng.random() < 0.1,
+                    "is_duplicate": rng.random() < 0.1,
+                }
+                pubs.append(pub)
+                for reason, applies in (
+                    ("patent", pub["is_patent"]),
+                    ("duplicate", pub["is_duplicate"]),
+                    ("missing_authors", pub["authors"] is None),
+                    ("missing_year", pub["year"] is None),
+                ):
+                    if applies:
+                        expected.append((f"a{a}", pub["pub_id"], reason))
+                        break
+            lines.append(json.dumps({"author_id": f"a{a}", "publications": pubs}))
+        path = tmp_path / "authors.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        corpus, report = load_corpus(path)
+        assert report.total == 10000
+        assert report.reject_log == expected
+        assert 0 < report.accepted < report.total
+        kept = [p for a in corpus.authors.values() for p in a.publications]
+        assert report.accepted == len(kept)
+        for record in kept:
             assert record.author_count >= 1
             assert all(y >= record.effective_year for y in record.citations_by_year)
-        assert 0 < accepted < total
 
 
 class TestLoadCorpus:
@@ -196,6 +215,12 @@ class TestLoadCorpus:
             ({"is_duplicate": 0}, "is_duplicate must be true or false"),
             ({"year": 3000}, "year 3000 after 2030"),
             ({"cites": {"2100": 1}}, "citation year 2100 after 2030"),
+            ({"year": -3000000000}, "year -3000000000 is outside the 32-bit"),
+            ({"authors": 3000000000}, "authors 3000000000 is outside the 32-bit"),
+            (
+                {"cites": {"2001": 3000000000}},
+                "citation count 3000000000 is outside the 32-bit",
+            ),
         ],
     )
     def test_bad_publication_fails_with_location(self, tmp_path, pub, message):
@@ -302,6 +327,9 @@ class TestLoadCorpus:
             ("zz,aw,2001", "award grant for unknown author 'zz'"),
             ("a1,ghost,2001", "a1: grant references unknown award 'ghost'"),
             ("a1,aw,2000", "repeated grant a1,aw,2000"),
+            ("a1,aw,2_001", "year '2_001' is not a canonical decimal year"),
+            ("a1,aw, 2001", "year ' 2001' is not a canonical decimal year"),
+            ("a1,aw,3000", "year 3000 after 2030"),
         ],
     )
     def test_bad_grant_fails_with_location(self, tmp_path, row, message):
@@ -325,6 +353,15 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match="duplicate award_id 'x'") as err:
             load_corpus(tmp_path / "authors.jsonl", catalog_path=catalog)
         assert err.value.line == 4
+
+    def test_non_canonical_catalog_total_fails_with_location(self, tmp_path):
+        (tmp_path / "authors.jsonl").write_text("")
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text("award_id,name,total_laureates\nx,X,5\ny,Y, 1_0\n")
+        message = "total_laureates ' 1_0' is not a canonical decimal integer"
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            load_corpus(tmp_path / "authors.jsonl", catalog_path=catalog)
+        assert str(err.value).startswith(f"{catalog}:3: ")
 
     def test_unknown_award_reference(self, tmp_path):
         (tmp_path / "authors.jsonl").write_text(
