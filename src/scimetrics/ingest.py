@@ -18,9 +18,11 @@ import csv
 import io
 import json
 import string
+from array import array
 from collections import Counter
-from collections.abc import Container
+from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 
 from .corpus import (
@@ -157,12 +159,12 @@ def _string(obj: dict, key: str, default: str | None = None) -> str:
 
 def load_authors(path: str | Path) -> tuple[CorpusArrays, CleaningReport]:
     """Load and clean an authors.jsonl file into columns.  Whatever is wrong
-    with a line, from its JSON to a repeated author_id, fails as one
+    with a line, from its bytes to a repeated author_id, fails as one
     ParseError naming path:line."""
     columns = ColumnBuilder()
     report = CleaningReport()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
             if not line.strip():
                 continue
             try:
@@ -176,9 +178,140 @@ def load_authors(path: str | Path) -> tuple[CorpusArrays, CleaningReport]:
     return columns.finish(), report
 
 
+def _utf8_lines(fh: Iterable[str], path: str | Path) -> Iterator[str]:
+    """The lines of a file opened with errors="surrogateescape"; a line
+    holding bytes that are not UTF-8 fails as a ParseError at its path:line,
+    where strict decoding would fail in a read that names neither."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(str(path), lineno, str(exc)) from None
+        yield line
+
+
+_INT, _STR, _BOOL, _DICT = (frozenset([t]) for t in (int, str, bool, dict))
+_DICT_OR_NULL = frozenset([dict, type(None)])
+
+
+def _values(objects: list[dict], key: str, default=None) -> list:
+    """Each object's value of `key`, or `default` where it has none."""
+    return list(map(dict.get, objects, repeat(key), repeat(default)))
+
+
 def _add_line(columns: ColumnBuilder, report: CleaningReport, line: str) -> None:
-    """Parse one authors.jsonl line and append the author and its accepted
-    publications.
+    """Decode one authors.jsonl line and append the author and its accepted
+    publications: in one pass over columns when they are all accepted, else
+    by the per-publication walk.
+
+    The line is decoded with plain json.loads, which keeps the last of a
+    repeated key, and decoded again with `_unique_keys` only when
+    `_keys_unique` cannot show that no key repeated.
+    """
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError:
+        unique = False
+    else:
+        unique = _keys_unique(line, obj)
+    if not unique:
+        obj = json.loads(line, object_pairs_hook=_unique_keys)
+    if not (unique and _add_clean_author(columns, report, obj)):
+        _walk(columns, report, obj)
+
+
+def _keys_unique(line: str, obj) -> bool:
+    """Whether `line`, which json.loads decoded to `obj`, is shown to repeat
+    no key in any of its objects.
+
+    Each member of a JSON object puts exactly one colon outside any string,
+    and colons inside strings only add to the count.  So when the line holds
+    exactly as many colons as the author, publication and cites objects hold
+    keys, plus those inside the author's and publications' keys and string
+    values, no key repeated and no other object has one; unless a colon is
+    written "\\u003a", which the line does not show.
+    """
+    if type(obj) is not dict:
+        return False
+    pubs = obj.get("publications", [])
+    if not (type(pubs) is list and _DICT.issuperset(map(type, pubs))):
+        return False
+    cites = _values(pubs, "cites")
+    if not _DICT_OR_NULL.issuperset(map(type, cites)):
+        return False
+    colons = line.count(":")
+    keys = len(obj) + sum(map(len, pubs)) + sum(map(len, filter(None, cites)))
+    if colons == keys:
+        return True
+    strings = chain(obj, *pubs, obj.values(), *map(dict.values, pubs))
+    text = "".join([s for s in strings if type(s) is str])
+    return "\\u003" not in line and colons == keys + text.count(":")
+
+
+def _add_clean_author(
+    columns: ColumnBuilder, report: CleaningReport, obj: dict
+) -> bool:
+    """Append an author whose publications are all accepted, in one pass over
+    columns, and return True; return False, having appended nothing, for any
+    other, which `_walk` then takes.  `obj` is a line's object that
+    `_keys_unique` has shown to repeat no key.
+
+    A null cites, a citation year that is not a canonical key from 1950 to
+    2030 and a value outside int32 also send the author to the walk, which
+    alone records rejects and names faults.
+    """
+    author_id, name, field_tag = (
+        obj.get("author_id"), obj.get("name", ""), obj.get("field", "other")
+    )
+    pubs = obj.get("publications", [])
+    cites = _values(pubs, "cites", {})
+    if not (
+        _STR.issuperset(map(type, (author_id, name, field_tag)))
+        and author_id not in columns.index
+        and _DICT.issuperset(map(type, cites))
+    ):
+        return False
+    pub_ids, years = _values(pubs, "pub_id"), _values(pubs, "year")
+    n_authors = _values(pubs, "authors")
+    flags = _values(pubs, "is_patent", False) + _values(pubs, "is_duplicate", False)
+    if not (
+        _STR.issuperset(map(type, pub_ids))
+        and len(set(pub_ids)) == len(pub_ids)
+        and _INT.issuperset(map(type, chain(years, n_authors)))
+        and _BOOL.issuperset(map(type, flags))
+        and not any(flags)
+        and max(years, default=0) <= VALID_YEAR_RANGE[1]
+        and min(n_authors, default=1) >= 1
+    ):
+        return False
+    counts = list(chain.from_iterable(map(dict.values, cites)))
+    if not (_INT.issuperset(map(type, counts)) and min(counts, default=0) >= 0):
+        return False
+    cite_years = list(map(_YEAR_KEYS.get, chain.from_iterable(cites)))
+    try:
+        # A key that is not a canonical year from 1950 to 2030 gave None, a
+        # TypeError here; so the least key of a cites is its least year.
+        cite_years, n_authors, counts = (
+            array("i", v) for v in (cite_years, n_authors, counts)
+        )
+        effective_year = array(
+            "i", [min(y, _YEAR_KEYS[min(c)]) if c else y for y, c in zip(years, cites)]
+        )
+    except (TypeError, OverflowError):
+        return False
+    per_pub = array("i", map(len, cites))
+    columns.add_publications(
+        pub_ids, effective_year, n_authors, per_pub, cite_years, counts
+    )
+    columns.add_author(author_id, name, field_tag)
+    report.accepted += len(pubs)
+    return True
+
+
+def _walk(columns: ColumnBuilder, report: CleaningReport, obj) -> None:
+    """Check one decoded authors.jsonl line a publication at a time and
+    append the author and its accepted publications.
 
     The cleaning rule: a patent, a duplicate, a record without a positive
     author count and one without a year are rejected, in that order; an
@@ -187,7 +320,7 @@ def _add_line(columns: ColumnBuilder, report: CleaningReport, line: str) -> None
     their listed date.  Every record is type-checked, but only accepted ones
     have their counts checked for sign and their pub_ids for repeats.
     """
-    obj = _object(json.loads(line, object_pairs_hook=_unique_keys), "the line")
+    obj = _object(obj, "the line")
     if "schema_version" in obj and "author_id" not in obj:
         if obj["schema_version"] != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {obj['schema_version']}")
@@ -236,8 +369,8 @@ def _add_line(columns: ColumnBuilder, report: CleaningReport, line: str) -> None
 
 def load_catalog(path: str | Path) -> dict[str, AwardCatalogEntry]:
     catalog: dict[str, AwardCatalogEntry] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.DictReader(_utf8_lines(fh, path))
         for lineno, row in enumerate(reader, start=2):
             try:
                 entry = AwardCatalogEntry(
@@ -266,8 +399,8 @@ def load_grants(
     after the last year a snapshot can observe, or repeating an earlier row,
     fails at its line."""
     grants: dict[str, list[AwardGrant]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.DictReader(_utf8_lines(fh, path))
         for lineno, row in enumerate(reader, start=2):
             try:
                 author_id = row["author_id"]
@@ -321,7 +454,7 @@ def save_corpus(corpus: AuthorCorpus, out_dir: str | Path) -> dict[str, Path]:
     starts = arrays.starts.tolist()
     years = arrays.effective_year.tolist()
     counts = arrays.author_count.tolist()
-    with open(paths["authors"], "w") as fh:
+    with open(paths["authors"], "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"schema_version": SCHEMA_VERSION}) + "\n")
         for author_id in sorted(arrays.index):
             k = arrays.index[author_id]
@@ -343,13 +476,13 @@ def save_corpus(corpus: AuthorCorpus, out_dir: str | Path) -> dict[str, Path]:
                 ],
             }
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
-    with open(paths["awards"], "w", newline="") as fh:
+    with open(paths["awards"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["author_id", "award_id", "year"])
         for author_id in sorted(arrays.index):
             for grant in corpus.grants.get(author_id, ()):
                 writer.writerow([author_id, grant.award_id, grant.year_conferred])
-    with open(paths["catalog"], "w", newline="") as fh:
+    with open(paths["catalog"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["award_id", "name", "total_laureates"])
         for award_id in sorted(corpus.catalog):

@@ -363,6 +363,29 @@ class TestLoadCorpus:
             load_corpus(tmp_path / "authors.jsonl", catalog_path=catalog)
         assert str(err.value).startswith(f"{catalog}:3: ")
 
+    @pytest.mark.parametrize("name", ["authors.jsonl", "awards.csv", "catalog.csv"])
+    def test_invalid_utf8_fails_with_location(self, tmp_path, name):
+        files = {
+            "authors.jsonl": b'{"author_id": "a1", "publications": []}\n',
+            "awards.csv": b"author_id,award_id,year\na1,aw,2000\n",
+            "catalog.csv": b"award_id,name,total_laureates\naw,Prize,5\n",
+        }
+        files[name] += b"\xfc" if name == "authors.jsonl" else b"a1,\xfc,2001\n"
+        for file, data in files.items():
+            (tmp_path / file).write_bytes(data)
+        paths = [tmp_path / file for file in files]
+        line = 2 if name == "authors.jsonl" else 3
+        message = "'utf-8' codec can't decode byte 0xfc in position"
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            load_corpus(*paths)
+        assert str(err.value).startswith(f"{tmp_path / name}:{line}: ")
+
+    def test_valid_utf8_names_load(self, tmp_path):
+        path = tmp_path / "authors.jsonl"
+        path.write_bytes('{"author_id": "a1", "name": "Gödel"}\n'.encode())
+        corpus, _ = load_corpus(path)
+        assert corpus.authors["a1"].display_name == "Gödel"
+
     def test_unknown_award_reference(self, tmp_path):
         (tmp_path / "authors.jsonl").write_text(
             '{"author_id": "a1", "publications": []}\n'
