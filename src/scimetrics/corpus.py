@@ -207,7 +207,9 @@ class ColumnBuilder:
 
     The integer buffers are array("i"), 4 bytes a value, so a value that does
     not fit an int32 column fails where it is added, named, instead of in
-    numpy later.
+    numpy later.  A loader holding an author's publications as columns
+    extends the buffers itself: per_pub[i] events, in event order, belong to
+    publication i.
     """
 
     def __init__(self) -> None:
@@ -241,25 +243,6 @@ class ColumnBuilder:
             ) from None
         self.per_pub.append(len(citations))
         self.pub_id.append(pub_id)
-
-    def add_publications(
-        self,
-        pub_ids: list[str],
-        effective_year: array,
-        author_count: array,
-        per_pub: array,
-        event_year: array,
-        event_count: array,
-    ) -> None:
-        """Append publications given as columns, their integers as array("i")
-        so that they fit: per_pub[i] citation events, in the order of
-        event_year and event_count, belong to publication i."""
-        self.pub_id.extend(pub_ids)
-        self.effective_year.extend(effective_year)
-        self.author_count.extend(author_count)
-        self.per_pub.extend(per_pub)
-        self.event_year.extend(event_year)
-        self.event_count.extend(event_count)
 
     def add_author(self, author_id: str, name: str, field: str) -> None:
         """Append an author whose publications are the ones added since the

@@ -206,18 +206,16 @@ def _add_line(columns: ColumnBuilder, report: CleaningReport, line: str) -> None
     by the per-publication walk.
 
     The line is decoded with plain json.loads, which keeps the last of a
-    repeated key, and decoded again with `_unique_keys` only when
-    `_keys_unique` cannot show that no key repeated.
+    repeated key, and decoded again with `_unique_keys`, which fails on one,
+    only when `_keys_unique` cannot show that no key repeated.
     """
     try:
         obj = json.loads(line)
     except json.JSONDecodeError:
-        unique = False
-    else:
-        unique = _keys_unique(line, obj)
-    if not unique:
+        obj = None
+    if not _keys_unique(line, obj):
         obj = json.loads(line, object_pairs_hook=_unique_keys)
-    if not (unique and _add_clean_author(columns, report, obj)):
+    if not _add_clean_author(columns, report, obj):
         _walk(columns, report, obj)
 
 
@@ -228,9 +226,7 @@ def _keys_unique(line: str, obj) -> bool:
     Each member of a JSON object puts exactly one colon outside any string,
     and colons inside strings only add to the count.  So when the line holds
     exactly as many colons as the author, publication and cites objects hold
-    keys, plus those inside the author's and publications' keys and string
-    values, no key repeated and no other object has one; unless a colon is
-    written "\\u003a", which the line does not show.
+    keys, no key repeated and no other object has one.
     """
     if type(obj) is not dict:
         return False
@@ -240,31 +236,27 @@ def _keys_unique(line: str, obj) -> bool:
     cites = _values(pubs, "cites")
     if not _DICT_OR_NULL.issuperset(map(type, cites)):
         return False
-    colons = line.count(":")
     keys = len(obj) + sum(map(len, pubs)) + sum(map(len, filter(None, cites)))
-    if colons == keys:
-        return True
-    strings = chain(obj, *pubs, obj.values(), *map(dict.values, pubs))
-    text = "".join([s for s in strings if type(s) is str])
-    return "\\u003" not in line and colons == keys + text.count(":")
+    return line.count(":") == keys
 
 
-def _add_clean_author(
-    columns: ColumnBuilder, report: CleaningReport, obj: dict
-) -> bool:
+def _add_clean_author(columns: ColumnBuilder, report: CleaningReport, obj) -> bool:
     """Append an author whose publications are all accepted, in one pass over
     columns, and return True; return False, having appended nothing, for any
-    other, which `_walk` then takes.  `obj` is a line's object that
-    `_keys_unique` has shown to repeat no key.
+    other line's object, which `_walk` then takes.  `obj` repeats no key.
 
     A null cites, a citation year that is not a canonical key from 1950 to
     2030 and a value outside int32 also send the author to the walk, which
     alone records rejects and names faults.
     """
+    if type(obj) is not dict:
+        return False
     author_id, name, field_tag = (
         obj.get("author_id"), obj.get("name", ""), obj.get("field", "other")
     )
     pubs = obj.get("publications", [])
+    if not (type(pubs) is list and _DICT.issuperset(map(type, pubs))):
+        return False
     cites = _values(pubs, "cites", {})
     if not (
         _STR.issuperset(map(type, (author_id, name, field_tag)))
@@ -300,10 +292,12 @@ def _add_clean_author(
         )
     except (TypeError, OverflowError):
         return False
-    per_pub = array("i", map(len, cites))
-    columns.add_publications(
-        pub_ids, effective_year, n_authors, per_pub, cite_years, counts
-    )
+    columns.pub_id.extend(pub_ids)
+    columns.effective_year.extend(effective_year)
+    columns.author_count.extend(n_authors)
+    columns.per_pub.extend(map(len, cites))
+    columns.event_year.extend(cite_years)
+    columns.event_count.extend(counts)
     columns.add_author(author_id, name, field_tag)
     report.accepted += len(pubs)
     return True

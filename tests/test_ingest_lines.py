@@ -11,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import reference_loader
 from scimetrics import ingest
-from scimetrics.corpus import ColumnBuilder
 from scimetrics.errors import ParseError
-from scimetrics.ingest import CleaningReport, load_authors, save_corpus
+from scimetrics.ingest import load_authors, save_corpus
 from scimetrics.synth import SynthConfig, generate
 
 
@@ -114,15 +113,6 @@ class TestRepeatedKeyProof:
         assert result[0] == "ok"
         assert result[1]["index"] == {"a1": 0}
 
-    def test_colons_in_ids_and_names_keep_the_column_pass(self):
-        line = author_line(
-            '"name": "x\\":\\"y", "publications": [{"pub_id": "doi:10.1/x", '
-            '"year": 2000, "authors": 2, "cites": {"2001": 3}}]'
-        )
-        obj = json.loads(line)
-        assert ingest._keys_unique(line, obj)
-        assert ingest._add_clean_author(ColumnBuilder(), CleaningReport(), obj)
-
     def test_names_with_colons_keep_their_text(self, tmp_path):
         names = ['x":"y', 'q\\":']
         text = "".join(
@@ -199,7 +189,7 @@ class TestRepeatedKeyProof:
         reject = '{"pub_id": "p2", "year": 2001, "authors": 1, "is_patent": true}'
         lines = [
             '{"author_id": "a1", "publications": [' + GOOD_PUB + ", " + reject + "]}",
-            '{"author_id": "a2", "name": "doi:x", "publications": [' + GOOD_PUB + "]}",
+            '{"author_id": "a2", "publications": [' + GOOD_PUB + "]}",
             '{"author_id": "a3", "publications": [], "b": 1, "b": 2}',
         ]
         text = "".join(line + "\n" for line in lines)
