@@ -25,6 +25,9 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
 
+import numpy as np
+import orjson
+
 from .corpus import (
     VALID_YEAR_RANGE,
     AuthorCorpus,
@@ -175,7 +178,23 @@ def load_authors(path: str | Path) -> tuple[CorpusArrays, CleaningReport]:
                 raise ParseError(
                     str(path), lineno, f"bad author record: {exc}"
                 ) from exc
+    _backdate(columns)
     return columns.finish(), report
+
+
+def _backdate(columns: ColumnBuilder) -> None:
+    """Lower each publication's effective year, in place, to its first
+    citation year where that is earlier.  The column pass appends declared
+    years; walked publications already hold the minimum."""
+    per_pub = np.frombuffer(columns.per_pub, np.int32)
+    cited = per_pub > 0
+    if cited.any():
+        first_event = (np.cumsum(per_pub) - per_pub)[cited]
+        event_year = np.frombuffer(columns.event_year, np.int32)
+        years = np.frombuffer(columns.effective_year, np.int32)
+        years[cited] = np.minimum(
+            years[cited], np.minimum.reduceat(event_year, first_event)
+        )
 
 
 def _utf8_lines(fh: Iterable[str], path: str | Path) -> Iterator[str]:
@@ -205,22 +224,31 @@ def _add_line(columns: ColumnBuilder, report: CleaningReport, line: str) -> None
     publications: in one pass over columns when they are all accepted, else
     by the per-publication walk.
 
-    The line is decoded with plain json.loads, which keeps the last of a
-    repeated key, and decoded again with `_unique_keys`, which fails on one,
-    only when `_keys_unique` cannot show that no key repeated.
+    orjson decodes the line first, keeping the last of a repeated key; its
+    object goes only to `_keys_unique` and `_add_clean_author`, which accept
+    only the strings, int32 integers, booleans, objects and arrays that
+    orjson and json decode alike.  A line the column pass does not take is
+    decoded again with json, so `_walk` and its messages see json's values
+    where the two differ: orjson makes an integer beyond 64 bits a float and
+    rejects NaN, Infinity, 1e400 and a lone surrogate escape.  When
+    `_keys_unique` cannot show that no key repeated, json decodes with
+    `_unique_keys`, which fails on one, before the column pass.
     """
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError:
+        obj = orjson.loads(line)
+    except orjson.JSONDecodeError:
         obj = None
-    if not _keys_unique(line, obj):
-        obj = json.loads(line, object_pairs_hook=_unique_keys)
+    if _keys_unique(line, obj):
+        if not _add_clean_author(columns, report, obj):
+            _walk(columns, report, json.loads(line))
+        return
+    obj = json.loads(line, object_pairs_hook=_unique_keys)
     if not _add_clean_author(columns, report, obj):
         _walk(columns, report, obj)
 
 
 def _keys_unique(line: str, obj) -> bool:
-    """Whether `line`, which json.loads decoded to `obj`, is shown to repeat
+    """Whether `line`, which orjson decoded to `obj`, is shown to repeat
     no key in any of its objects.
 
     Each member of a JSON object puts exactly one colon outside any string,
@@ -283,17 +311,14 @@ def _add_clean_author(columns: ColumnBuilder, report: CleaningReport, obj) -> bo
     cite_years = list(map(_YEAR_KEYS.get, chain.from_iterable(cites)))
     try:
         # A key that is not a canonical year from 1950 to 2030 gave None, a
-        # TypeError here; so the least key of a cites is its least year.
-        cite_years, n_authors, counts = (
-            array("i", v) for v in (cite_years, n_authors, counts)
-        )
-        effective_year = array(
-            "i", [min(y, _YEAR_KEYS[min(c)]) if c else y for y, c in zip(years, cites)]
+        # TypeError here.
+        cite_years, years, n_authors, counts = (
+            array("i", v) for v in (cite_years, years, n_authors, counts)
         )
     except (TypeError, OverflowError):
         return False
     columns.pub_id.extend(pub_ids)
-    columns.effective_year.extend(effective_year)
+    columns.effective_year.extend(years)  # lowered in `_backdate`
     columns.author_count.extend(n_authors)
     columns.per_pub.extend(map(len, cites))
     columns.event_year.extend(cite_years)
@@ -361,11 +386,31 @@ def _walk(columns: ColumnBuilder, report: CleaningReport, obj) -> None:
     columns.add_author(author_id, name, field_tag)
 
 
+def _csv_records(fh: Iterable[str], path: str | Path) -> Iterator[tuple[int, dict]]:
+    """The records of a CSV file after its header row, each as a dict by the
+    header with the number of the physical line it starts on.  A quoted
+    field can hold line breaks, so a record can span lines, and
+    csv.DictReader skips empty lines, so the count of records is not a line
+    number."""
+    start = []  # the first line the reader pulled since the last record
+
+    def lines() -> Iterator[str]:
+        for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
+            if not start and line.strip("\r\n"):
+                start.append(lineno)
+            yield line
+
+    reader = csv.DictReader(lines())
+    reader.fieldnames  # reads the header row
+    start.clear()
+    for row in reader:
+        yield start.pop(), row
+
+
 def load_catalog(path: str | Path) -> dict[str, AwardCatalogEntry]:
     catalog: dict[str, AwardCatalogEntry] = {}
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.DictReader(_utf8_lines(fh, path))
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in _csv_records(fh, path):
             try:
                 entry = AwardCatalogEntry(
                     award_id=row["award_id"],
@@ -394,8 +439,7 @@ def load_grants(
     fails at its line."""
     grants: dict[str, list[AwardGrant]] = {}
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.DictReader(_utf8_lines(fh, path))
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in _csv_records(fh, path):
             try:
                 author_id = row["author_id"]
                 grant = AwardGrant(

@@ -363,6 +363,39 @@ class TestLoadCorpus:
             load_corpus(tmp_path / "authors.jsonl", catalog_path=catalog)
         assert str(err.value).startswith(f"{catalog}:3: ")
 
+    @pytest.mark.parametrize(
+        "name, rows, message",
+        [
+            (
+                "catalog.csv",
+                'aw,"Two\nlines",5\n\nx,X,abc\n',
+                "bad catalog row: invalid literal for int() with base 10: 'abc'",
+            ),
+            (
+                "awards.csv",
+                'a1,"aw\nx",2000\n\na1,aw,20x0\n',
+                "bad award row: invalid literal for int() with base 10: '20x0'",
+            ),
+        ],
+        ids=["catalog", "awards"],
+    )
+    def test_csv_fault_names_the_physical_line(self, tmp_path, name, rows, message):
+        # A quoted field spans lines 2-3 and line 4 is empty, so the third
+        # record, the second one read, starts on line 5.
+        files = {
+            "authors.jsonl": '{"author_id": "a1", "publications": []}\n',
+            "awards.csv": "author_id,award_id,year\na1,aw,2000\n",
+            "catalog.csv": 'award_id,name,total_laureates\naw,Prize,5\n"aw\nx",X,1\n',
+        }
+        header = files[name].partition("\n")[0]
+        files[name] = f"{header}\n{rows}"
+        for file, text in files.items():
+            (tmp_path / file).write_text(text, encoding="utf-8")
+        paths = [tmp_path / file for file in files]
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            load_corpus(*paths)
+        assert str(err.value).startswith(f"{tmp_path / name}:5: ")
+
     @pytest.mark.parametrize("name", ["authors.jsonl", "awards.csv", "catalog.csv"])
     def test_invalid_utf8_fails_with_location(self, tmp_path, name):
         files = {

@@ -196,6 +196,100 @@ class TestRepeatedKeyProof:
         assert check_against_reference(tmp_path, text)[0] == "error"
         assert hooked == ["author_id"]
 
+
+class TestDecoderBoundary:
+    """orjson decodes every line first, but only the column pass sees its
+    object: it makes an integer beyond 64 bits a float and rejects what json
+    accepts as NaN, infinity and a lone surrogate, so a line the pass does
+    not take loads or fails on json's values."""
+
+    @pytest.mark.parametrize(
+        "fault, reason",
+        [
+            (f'"authors": {10**20}, "is_patent": true', "patent"),
+            (f'"authors": {-(2**63) - 1}, "is_patent": true', "patent"),
+            (f'"authors": {-(2**63) - 1}', "missing_authors"),
+        ],
+        ids=["patent-1e20", "patent-below-int64", "missing-authors-below-int64"],
+    )
+    def test_huge_author_count_on_a_reject(self, tmp_path, fault, reason):
+        line = author_line(
+            '"publications": [' + GOOD_PUB + ', {"pub_id": "p2", "year": 2001, '
+            + fault + "}]"
+        )
+        _, columns, accepted, reject_log = check_against_reference(tmp_path, line)
+        assert (accepted, reject_log) == (1, [("a1", "p2", reason)])
+        assert columns["pub_id"] == ["p1"]
+
+    @pytest.mark.parametrize("count", [10**20, 2**64])
+    def test_huge_author_count_fails_as_outside_int32(self, tmp_path, count):
+        line = author_line(
+            f'"publications": [{{"pub_id": "p1", "year": 2000, "authors": {count}}}]'
+        )
+        path = tmp_path / "authors.jsonl"
+        assert check_against_reference(tmp_path, line) == (
+            "error",
+            f"{path}:1: bad author record: "
+            f"authors {count} is outside the 32-bit integer range",
+        )
+
+    @pytest.mark.parametrize(
+        "count, shown", [("NaN", "nan"), ("Infinity", "inf"), ("1e400", "inf")]
+    )
+    def test_non_finite_count_fails(self, tmp_path, count, shown):
+        line = author_line(
+            '"publications": [{"pub_id": "p1", "year": 2000, "authors": 2, '
+            f'"cites": {{"2001": {count}}}}}]'
+        )
+        path = tmp_path / "authors.jsonl"
+        assert check_against_reference(tmp_path, line) == (
+            "error",
+            f"{path}:1: bad author record: "
+            f"citation counts must be integers: {{2001: {shown}}}",
+        )
+
+    def test_lone_surrogate_name_loads(self, tmp_path):
+        line = author_line('"name": "x\\ud800", "publications": [' + GOOD_PUB + "]")
+        _, columns, accepted, _ = check_against_reference(tmp_path, line)
+        assert (columns["names"], accepted) == (["x\ud800"], 1)
+
+    def test_walk_never_sees_an_orjson_object(self, tmp_path, monkeypatch):
+        decoded, walked = [], []
+        loads, _walk = ingest.orjson.loads, ingest._walk
+
+        def orjson_loads(line):
+            decoded.append(loads(line))
+            return decoded[-1]
+
+        def walk(columns, report, obj):
+            walked.append(obj)
+            return _walk(columns, report, obj)
+
+        monkeypatch.setattr(ingest.orjson, "loads", orjson_loads)
+        monkeypatch.setattr(ingest, "_walk", walk)
+        patent = '{"pub_id": "p2", "year": 2001, "authors": 1, "is_patent": true}'
+        lines = [
+            '{"schema_version": 1}',
+            author_line('"publications": [' + GOOD_PUB + ", " + patent + "]"),
+            author_line('"name": "x:y", "publications": [' + patent + "]"),
+            author_line(
+                '"publications": [{"pub_id": "p1", "year": 2000, "authors": 2, '
+                '"cites": null}]'
+            ),
+            author_line(
+                '"publications": [{"pub_id": "p1", "year": 2000, "authors": '
+                + str(10**20)
+                + ', "is_duplicate": true}]'
+            ),
+        ]
+        text = "".join(
+            line.rstrip("\n").replace('"a1"', f'"a{i}"') + "\n"
+            for i, line in enumerate(lines)
+        )
+        assert check_against_reference(tmp_path, text)[0] == "ok"
+        assert len(walked) == len(decoded) == len(lines)
+        assert not any(obj is other for obj in walked for other in decoded)
+
 # --- differential test -------------------------------------------------------
 
 
@@ -228,7 +322,7 @@ BAD_VALUES = [
     None, True, False, 0, -1, 1, 1.5, 2000.0, "", "2000", "x:y", [], [1], Obj([]),
     1940, 2031, 2**31 - 1, 2**31, -(2**31) - 1, 3000000000, -3000000000, 10**20,
 ]
-INTEGERS = [0, -1, 1940, 2031, 2**31, -(2**31) - 1]
+INTEGERS = [0, -1, 1940, 2031, 2**31, -(2**31) - 1, 2**64, -(2**64), 10**20]
 # The values a mutation gives a member, by the member's key; any other key is
 # a citation year, whose count takes one of COUNTS.
 VALUES = {
