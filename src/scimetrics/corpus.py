@@ -156,14 +156,14 @@ class AuthorCorpus:
 
 @dataclass(frozen=True, eq=False)
 class CorpusArrays:
-    """Authors and their publications as columns, citation events in year
-    order.
+    """Authors, their publications and the publications' citation events as
+    columns, in the order they were added.
 
     Author k is the k-th key of `index`, named names[k] in field fields[k];
     its publications are rows starts[k]:starts[k + 1] of the per-publication
-    columns.  The citation events (pub, year, count) are sorted by year,
-    stably; those dated up to year Y are the first
-    events_until[Y - VALID_YEAR_RANGE[0]] events.
+    columns.  Publication i's citation events (year, count) are rows
+    event_start[i]:event_start[i + 1] of the per-event columns, in the order
+    its record listed them.
     """
 
     index: dict[str, int]  # author id -> position in corpus order
@@ -173,30 +173,29 @@ class CorpusArrays:
     pub_id: list[str]
     effective_year: np.ndarray  # int32 per publication
     author_count: np.ndarray  # int32 per publication
-    event_pub: np.ndarray  # int32 per citation event
+    event_start: np.ndarray  # int64, one more than there are publications
     event_year: np.ndarray  # int32 per citation event
     event_count: np.ndarray  # int32 per citation event
-    events_until: np.ndarray  # int64 per year of VALID_YEAR_RANGE
 
     @cached_property
-    def _by_publication(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Event years and counts grouped by publication, in year order within
-        one, and where each publication's events begin."""
-        order = np.argsort(self.event_pub, kind="stable")
-        per_pub = np.bincount(self.event_pub, minlength=len(self.pub_id))
-        bounds = np.concatenate(([0], np.cumsum(per_pub)))
-        return self.event_year[order], self.event_count[order], bounds
+    def cited(self) -> tuple[np.ndarray, np.ndarray]:
+        """Which publications have citation events, and where each such one's
+        events begin: the indices for a reduceat over the event columns.
+        reduceat reads an empty run as the event after it, and a trailing one
+        as out of range, so uncited publications are left out."""
+        start = self.event_start
+        cited = start[:-1] < start[1:]
+        return cited, start[:-1][cited]
 
     def citations(
         self, first: int, last: int
     ) -> Iterator[tuple[list[int], list[int]]]:
-        """Each of publications first:last as its citation years, ascending,
-        and the counts of those years."""
-        years, counts, bounds = self._by_publication
-        bounds = bounds[first : last + 1].tolist()
+        """Each of publications first:last as its citation years and the
+        counts of those years."""
+        bounds = self.event_start[first : last + 1].tolist()
         lo = bounds[0]
-        years = years[lo : bounds[-1]].tolist()
-        counts = counts[lo : bounds[-1]].tolist()
+        years = self.event_year[lo : bounds[-1]].tolist()
+        counts = self.event_count[lo : bounds[-1]].tolist()
         for begin, end in zip(bounds, bounds[1:]):
             yield years[begin - lo : end - lo], counts[begin - lo : end - lo]
 
@@ -253,15 +252,7 @@ class ColumnBuilder:
         self.starts.append(len(self.pub_id))
 
     def finish(self) -> CorpusArrays:
-        # Each event buffer is dropped once it is sorted into its column, so
-        # the peak stays near the columns' own size.
-        order = np.argsort(np.frombuffer(self.event_year, np.int32), kind="stable")
-        event_year = np.frombuffer(self.event_year, np.int32)[order]
-        event_count = np.frombuffer(self.event_count, np.int32)[order]
-        self.event_year = self.event_count = None
         per_pub = np.frombuffer(self.per_pub, np.int32)
-        event_pub = np.repeat(np.arange(len(per_pub), dtype=np.int32), per_pub)[order]
-        lo, hi = VALID_YEAR_RANGE
         return CorpusArrays(
             index=self.index,
             names=self.names,
@@ -270,10 +261,9 @@ class ColumnBuilder:
             pub_id=self.pub_id,
             effective_year=np.frombuffer(self.effective_year, np.int32),
             author_count=np.frombuffer(self.author_count, np.int32),
-            event_pub=event_pub,
-            event_year=event_year,
-            event_count=event_count,
-            events_until=np.searchsorted(event_year, np.arange(lo, hi + 1), "right"),
+            event_start=np.concatenate(([0], np.cumsum(per_pub, dtype=np.int64))),
+            event_year=np.frombuffer(self.event_year, np.int32),
+            event_count=np.frombuffer(self.event_count, np.int32),
         )
 
 
@@ -305,7 +295,7 @@ class Snapshot:
 
     observation_year: int
     corpus: AuthorCorpus
-    citations: np.ndarray  # float64 per publication, integer-valued
+    citations: np.ndarray  # int64 per publication
 
     def __contains__(self, author_id: str) -> bool:
         return author_id in self.corpus.arrays.index
@@ -371,18 +361,12 @@ def snapshot_at(corpus: AuthorCorpus, year: int) -> Snapshot:
     if not lo <= year <= hi:
         raise ValueError(f"snapshot year {year} outside valid range [{lo}, {hi}]")
     arrays = corpus.arrays
-    cut = arrays.events_until[year - lo]
-    citations = np.zeros(len(arrays.effective_year))
-    # Chunks bound bincount's int64/float64 copies of its inputs to twice
-    # the size of the result; the integer sums are exact in float64.
-    chunk = max(len(citations), 1 << 16)
-    for begin in range(0, cut, chunk):
-        end = min(begin + chunk, cut)
-        citations += np.bincount(
-            arrays.event_pub[begin:end],
-            weights=arrays.event_count[begin:end],
-            minlength=len(citations),
-        )
+    cited, first_event = arrays.cited
+    citations = np.zeros(len(cited), dtype=np.int64)
+    citations[cited] = np.add.reduceat(
+        np.multiply(arrays.event_count, arrays.event_year <= year, dtype=np.int64),
+        first_event,
+    )
     return Snapshot(observation_year=year, corpus=corpus, citations=citations)
 
 

@@ -178,23 +178,20 @@ def load_authors(path: str | Path) -> tuple[CorpusArrays, CleaningReport]:
                 raise ParseError(
                     str(path), lineno, f"bad author record: {exc}"
                 ) from exc
-    _backdate(columns)
-    return columns.finish(), report
+    arrays = columns.finish()
+    _backdate(arrays)
+    return arrays, report
 
 
-def _backdate(columns: ColumnBuilder) -> None:
+def _backdate(arrays: CorpusArrays) -> None:
     """Lower each publication's effective year, in place, to its first
     citation year where that is earlier.  The column pass appends declared
     years; walked publications already hold the minimum."""
-    per_pub = np.frombuffer(columns.per_pub, np.int32)
-    cited = per_pub > 0
-    if cited.any():
-        first_event = (np.cumsum(per_pub) - per_pub)[cited]
-        event_year = np.frombuffer(columns.event_year, np.int32)
-        years = np.frombuffer(columns.effective_year, np.int32)
-        years[cited] = np.minimum(
-            years[cited], np.minimum.reduceat(event_year, first_event)
-        )
+    cited, first_event = arrays.cited
+    years = arrays.effective_year
+    years[cited] = np.minimum(
+        years[cited], np.minimum.reduceat(arrays.event_year, first_event)
+    )
 
 
 def _utf8_lines(fh: Iterable[str], path: str | Path) -> Iterator[str]:

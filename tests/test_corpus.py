@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,7 @@ from scimetrics.corpus import (
     citation_vector,
     snapshot_at,
 )
+from scimetrics.ingest import load_corpus
 
 
 def make_author(author_id, pubs):
@@ -83,6 +86,54 @@ class TestSnapshot:
             assert snap_total == brute_totals(year)
             assert snap_total >= prev
             prev = snap_total
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            [
+                # Uncited papers first, in the middle (absent and null cites,
+                # an empty object) and last; cites keys out of year order; an
+                # author with no publications between two with some.
+                {"author_id": "a1", "publications": [
+                    {"pub_id": "p1", "year": 2000, "authors": 1},
+                    {"pub_id": "p2", "year": 2000, "authors": 2,
+                     "cites": {"2005": 3, "2001": 2, "2003": 1}},
+                    {"pub_id": "p3", "year": 2001, "authors": 1, "cites": None},
+                    {"pub_id": "p4", "year": 2002, "authors": 1, "cites": {}},
+                    {"pub_id": "p5", "year": 2002, "authors": 3,
+                     "cites": {"2010": 4, "2002": 5}},
+                ]},
+                {"author_id": "a2", "publications": []},
+                {"author_id": "a3", "publications": [
+                    {"pub_id": "q1", "year": 1999, "authors": 1,
+                     "cites": {"2004": 7, "1999": 1, "2002": 2}},
+                    {"pub_id": "q2", "year": 2003, "authors": 1, "cites": None},
+                    {"pub_id": "q3", "year": 2004, "authors": 2},
+                ]},
+            ],
+            [
+                # No citation events anywhere.
+                {"author_id": "a1", "publications": [
+                    {"pub_id": "p1", "year": 2000, "authors": 1},
+                    {"pub_id": "p2", "year": 2001, "authors": 1, "cites": None},
+                ]},
+                {"author_id": "a2", "publications": []},
+            ],
+        ],
+    )
+    def test_per_publication_citations_against_raw_records(self, tmp_path, lines):
+        # Oracle: sum each raw record's cites up to the year, publication by
+        # publication in file order.
+        path = tmp_path / "authors.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        corpus, _ = load_corpus(path)
+        pubs = [p for line in lines for p in line["publications"]]
+        for year in (1998, 1999, 2001, 2002, 2004, 2005, 2010, 2030):
+            expected = [
+                sum(c for y, c in (p.get("cites") or {}).items() if int(y) <= year)
+                for p in pubs
+            ]
+            assert snapshot_at(corpus, year).citations.tolist() == expected
 
 
 @pytest.fixture

@@ -150,7 +150,7 @@ class TestRepeatedKeyProof:
         )
         _, columns, accepted, _ = check_against_reference(tmp_path, line)
         assert accepted == 3
-        assert columns["event_pub"] == ("<i4", [0])
+        assert columns["event_start"] == ("<i8", [0, 1, 1, 1])
 
     def test_citation_before_1950(self, tmp_path):
         line = author_line(
