@@ -104,7 +104,7 @@ def cmd_indices(args: argparse.Namespace) -> int:
     corpus, _ = _load_corpus(args.corpus)
     measures = _parse_measures(args.measures)
     ids = sorted(corpus.arrays.index)
-    columns = measure_columns(snapshot_at(corpus, args.year), ids)
+    columns = measure_columns(snapshot_at(corpus, args.year), ids, measures)
     rows = [["author_id"] + [m.value for m in measures]]
     for i, author_id in enumerate(ids):
         rows.append([author_id] + [_fmt(columns[m][i]) for m in measures])
@@ -195,7 +195,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     summary = [["measure", "auc", "status"]]
     outputs: dict[Path, str] = {}
-    columns = measure_columns(snapshot_at(corpus, args.year), ids)
+    columns = measure_columns(snapshot_at(corpus, args.year), ids, measures)
     for measure in measures:
         try:
             curve = rankcorr.roc_curve(columns[measure], awards)

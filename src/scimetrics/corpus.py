@@ -274,7 +274,10 @@ def _outside_int32(
     named = [("citation year", y) for y in citations]
     named += [("year", effective_year), ("authors", author_count)]
     named += [("citation count", c) for c in citations.values()]
-    what, value = next((w, v) for w, v in named if not -(2**31) <= v < 2**31)
+    return outside_int32(*next((w, v) for w, v in named if not -(2**31) <= v < 2**31))
+
+
+def outside_int32(what: str, value: int) -> str:
     return f"{what} {value} is outside the 32-bit integer range"
 
 

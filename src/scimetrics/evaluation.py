@@ -231,7 +231,7 @@ def series_grid(
         else:
             scores = award_scores(corpus, year + horizon, scheme)
             awards = [scores[a] for a in ids]
-            columns = measure_columns(snapshot, ids)
+            columns = measure_columns(snapshot, ids, measures)
             gap = None
             if len(ids) < 2:
                 gap = f"fewer than 2 authors at year {year} after filtering"
@@ -280,7 +280,7 @@ def measure_correlation_matrix(
     ids = sorted(corpus.arrays.index)
     if len(ids) < 2:
         raise DegenerateInputError("need at least 2 authors")
-    columns = measure_columns(snapshot_at(corpus, year), ids)
+    columns = measure_columns(snapshot_at(corpus, year), ids, measures)
     k = len(measures)
     matrix = np.full((k, k), np.nan)
     for i, mi in enumerate(measures):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections.abc import Sequence
 from enum import Enum
 
 import numpy as np
@@ -219,55 +220,66 @@ def _base_columns(entries: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _block_columns(
-    cites: np.ndarray, authors: np.ndarray, n: np.ndarray
+    cites: np.ndarray, authors: np.ndarray, n: np.ndarray, measures: set[Measure]
 ) -> dict[Measure, np.ndarray]:
-    """Every measure of rows holding n[i] papers each, in publication order,
-    padded with -inf citations and author count 1."""
-    # A stable sort keeps ties in publication order, as citation_vector does,
-    # so the author counts line up with it; -inf padding sorts last.  The
-    # normalized layouts are used for their values alone, which ties share.
-    order = np.argsort(-cites, axis=1, kind="stable")
-    raw = np.take_along_axis(cites, order, axis=1)
-    raw_authors = np.take_along_axis(authors, order, axis=1)
-    frac = -np.sort(-(cites / authors), axis=1)
-    by_sqrt = -np.sort(-(cites / np.sqrt(authors)), axis=1)
-    traditional = _base_columns(raw, n)
-    h = traditional[0]
-    rows = np.arange(len(n))
-    core = np.cumsum(raw_authors, axis=1)[rows, np.maximum(h - 1, 0)]  # int64
-    mean_authors = np.where(h > 0, core / np.maximum(h, 1), 1.0)
-    effective_rank = np.cumsum(1.0 / raw_authors, axis=1)
-    covered = raw >= effective_rank
-    last = raw.shape[1] - 1 - np.argmax(covered[:, ::-1], axis=1)
-    return {
-        **dict(zip(TRADITIONAL, traditional)),
-        **dict(zip(FRACTIONAL, _base_columns(frac, n))),
-        Measure.H_I: np.where(h > 0, h / mean_authors, 0.0),
-        Measure.H_M: np.where(covered.any(axis=1), effective_rank[rows, last], 0.0),
-        Measure.H_P: np.where(h > 0, h / np.sqrt(mean_authors), 0.0),
-        Measure.H_AP: _h_column(by_sqrt),
-    }
+    """At least `measures` over rows holding n[i] papers each, in publication
+    order, padded with -inf citations and author count 1; only the layouts
+    those measures read are sorted."""
+    columns = {}
+    h_core = measures & {Measure.H_I, Measure.H_M, Measure.H_P}
+    if h_core or measures.intersection(TRADITIONAL):
+        # A stable sort keeps ties in publication order, as citation_vector
+        # does, so the author counts line up with it; -inf padding sorts last.
+        order = np.argsort(-cites, axis=1, kind="stable")
+        raw = np.take_along_axis(cites, order, axis=1)
+        traditional = _base_columns(raw, n)
+        columns.update(zip(TRADITIONAL, traditional))
+        if h_core:
+            h = traditional[0]
+            raw_authors = np.take_along_axis(authors, order, axis=1)
+            rows = np.arange(len(n))
+            core = np.cumsum(raw_authors, axis=1)[rows, np.maximum(h - 1, 0)]  # int64
+            mean_authors = np.where(h > 0, core / np.maximum(h, 1), 1.0)
+            effective_rank = np.cumsum(1.0 / raw_authors, axis=1)
+            covered = raw >= effective_rank
+            last = raw.shape[1] - 1 - np.argmax(covered[:, ::-1], axis=1)
+            columns[Measure.H_I] = np.where(h > 0, h / mean_authors, 0.0)
+            columns[Measure.H_M] = np.where(
+                covered.any(axis=1), effective_rank[rows, last], 0.0
+            )
+            columns[Measure.H_P] = np.where(h > 0, h / np.sqrt(mean_authors), 0.0)
+    # The normalized layouts are used for their values alone, which ties share.
+    if measures.intersection(FRACTIONAL):
+        frac = -np.sort(-(cites / authors), axis=1)
+        columns.update(zip(FRACTIONAL, _base_columns(frac, n)))
+    if Measure.H_AP in measures:
+        columns[Measure.H_AP] = _h_column(-np.sort(-(cites / np.sqrt(authors)), axis=1))
+    return columns
 
 
-def measure_columns(snapshot: Snapshot, ids: list[str]) -> dict[Measure, list[float]]:
-    """Every measure's values over `ids`, aligned with them and equal to
+def measure_columns(
+    snapshot: Snapshot, ids: list[str], measures: Sequence[Measure]
+) -> dict[Measure, list[float]]:
+    """The values of `measures` over `ids`, aligned with them and equal to
     compute_all's bit for bit.
 
     Each author's publications in view become one row of a padded matrix,
-    sorted within the row per normalizer; every sum runs left to right along
-    a row (np.cumsum), never pairwise, so the floats match the per-vector
-    functions exactly.  Rows whose paper counts share a power of two form one
-    block no wider than twice its shortest row, so memory stays O(authors +
-    papers) however many papers the most prolific author has.
+    sorted within the row for each normalizer the measures use; every sum
+    runs left to right along a row (np.cumsum), never pairwise, so the floats
+    match the per-vector functions exactly.  Rows whose paper counts share a
+    power of two form one block no wider than twice its shortest row, so
+    memory stays O(authors + papers) however many papers the most prolific
+    author has.
     """
+    wanted = set(measures)
     row, pub = snapshot.in_view(ids)
     n = np.bincount(row, minlength=len(ids))
     col = np.arange(len(row)) - np.repeat(np.cumsum(n) - n, n)
     cites = snapshot.citations[pub]
     authors = snapshot.corpus.arrays.author_count[pub]
-    block = np.frexp(n)[1]
-    out = np.empty((len(Measure), len(ids)))
-    for b in np.unique(block):
+    block = np.frexp(n)[1]  # non-negative exponents
+    out = np.empty((len(measures), len(ids)))
+    for b in np.flatnonzero(np.bincount(block)):
         rows = np.flatnonzero(block == b)
         papers = block[row] == b
         at = (np.searchsorted(rows, row[papers]), col[papers])
@@ -276,6 +288,7 @@ def measure_columns(snapshot: Snapshot, ids: list[str]) -> dict[Measure, list[fl
         block_cites[at] = cites[papers]
         block_authors = np.ones(shape, dtype=authors.dtype)
         block_authors[at] = authors[papers]
-        columns = _block_columns(block_cites, block_authors, n[rows])
-        out[:, rows] = [columns[m] for m in Measure]
-    return {m: column.tolist() for m, column in zip(Measure, out)}
+        columns = _block_columns(block_cites, block_authors, n[rows], wanted)
+        for i, m in enumerate(measures):
+            out[i, rows] = columns[m]
+    return {m: column.tolist() for m, column in zip(measures, out)}

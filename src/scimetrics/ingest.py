@@ -23,6 +23,7 @@ from collections import Counter
 from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -476,6 +477,14 @@ def load_corpus(
     return AuthorCorpus.from_columns(arrays, grants, catalog), report
 
 
+class _CiteKeys(dict):
+    """'"YYYY": ', the key of a `cites` entry, made once per citation year."""
+
+    def __missing__(self, year: int) -> str:
+        self[year] = key = f'"{year}": '
+        return key
+
+
 def save_corpus(corpus: AuthorCorpus, out_dir: str | Path) -> dict[str, Path]:
     """Write authors.jsonl, awards.csv, catalog.csv; returns the paths."""
     out = Path(out_dir)
@@ -489,28 +498,31 @@ def save_corpus(corpus: AuthorCorpus, out_dir: str | Path) -> dict[str, Path]:
     starts = arrays.starts.tolist()
     years = arrays.effective_year.tolist()
     counts = arrays.author_count.tolist()
+    cite_key = _CiteKeys().__getitem__
+    text = encode_basestring_ascii  # json.dumps's own escaper
     with open(paths["authors"], "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"schema_version": SCHEMA_VERSION}) + "\n")
+        # Each line is the bytes of json.dumps(author, sort_keys=True): keys
+        # in string order, ", " and ": " separators.  A '"YYYY": ' cites key
+        # sorts as its year string does, since '"' sorts before "-" and digits.
         for author_id in sorted(arrays.index):
             k = arrays.index[author_id]
             first, last = starts[k], starts[k + 1]
-            obj = {
-                "author_id": author_id,
-                "name": arrays.names[k],
-                "field": arrays.fields[k],
-                "publications": [
-                    {
-                        "pub_id": arrays.pub_id[i],
-                        "year": years[i],
-                        "authors": counts[i],
-                        "cites": dict(zip(map(str, cite_years), cite_counts)),
-                    }
-                    for i, (cite_years, cite_counts) in zip(
-                        range(first, last), arrays.citations(first, last)
-                    )
-                ],
-            }
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            cites = (
+                ", ".join(sorted([cite_key(y) + str(c) for y, c in zip(ys, cs)]))
+                for ys, cs in arrays.citations(first, last)
+            )
+            pubs = ", ".join(
+                f'{{"authors": {n}, "cites": {{{c}}}, '
+                f'"pub_id": {text(p)}, "year": {y}}}'
+                for p, y, n, c in zip(
+                    arrays.pub_id[first:last], years[first:last], counts[first:last], cites
+                )
+            )
+            fh.write(
+                f'{{"author_id": {text(author_id)}, "field": {text(arrays.fields[k])}, '
+                f'"name": {text(arrays.names[k])}, "publications": [{pubs}]}}\n'
+            )
     with open(paths["awards"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["author_id", "award_id", "year"])

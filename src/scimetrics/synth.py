@@ -21,6 +21,7 @@ from .corpus import (
     AwardCatalogEntry,
     AwardGrant,
     ColumnBuilder,
+    outside_int32,
     snapshot_at,
 )
 from .indices import Measure, measure_columns
@@ -103,13 +104,10 @@ def _is_hyper_author(config: SynthConfig, index: int) -> bool:
     )
 
 
-def _draw_citations(
-    rng: np.random.Generator, years: list[int], rate: float
-) -> dict[int, int]:
-    """A Poisson count for each of `years`, keeping the nonzero ones.  The
-    keys are the caller's int objects, so every paper shares one per year."""
-    draws = rng.poisson(rate, size=len(years))
-    return {year: c for year, c in zip(years, draws.tolist()) if c > 0}
+# Papers whose citation draws are held back before they are appended, at the
+# next author boundary, as columns: enough to amortise the numpy calls, few
+# enough that the batch stays a small transient.
+_FLUSH_PAPERS = 1024
 
 
 def generate(config: SynthConfig) -> AuthorCorpus:
@@ -121,34 +119,71 @@ def generate(config: SynthConfig) -> AuthorCorpus:
     years = list(range(config.start_year, config.end_year + 1))
     # A batch of papers: (papers per year, smallest team, Poisson mean of the
     # authors beyond it, citations per paper-year).
+    regular = [
+        (
+            config.pubs_per_year, 1, max(team_size_mean(config, year) - 1.0, 0.0),
+            config.citations_per_paper_year,
+        )
+        for year in years
+    ]
     consortium = (
         config.hyper_paper_rate, 2, config.hyper_team_mean,
         config.citations_per_paper_year * config.hyper_citation_boost,
     )
+    draws: list[np.ndarray] = []  # held-back papers' citation counts
     for idx in range(config.n_authors):
         rng = np.random.default_rng(streams[idx])
         author_id = f"a{idx:0{width}d}"
         first = len(columns.pub_id)
         hyper = _is_hyper_author(config, idx)
         for offset, year in enumerate(years):
-            batches = [(
-                config.pubs_per_year, 1, max(team_size_mean(config, year) - 1.0, 0.0),
-                config.citations_per_paper_year,
-            )]
+            batches = [regular[offset]]
             if hyper and year >= config.hyper_onset_year:
                 batches.append(consortium)
             for paper_rate, smallest, extra, citation_rate in batches:
                 for _ in range(int(rng.poisson(paper_rate))):
                     team = smallest + int(rng.poisson(extra))
-                    cites = _draw_citations(rng, years[offset:], citation_rate)
-                    columns.add_publication(
-                        f"{author_id}-p{len(columns.pub_id) - first:04d}",
-                        year, team, cites,
+                    cites = rng.poisson(citation_rate, size=len(years) - offset)
+                    columns.pub_id.append(
+                        f"{author_id}-p{len(columns.pub_id) - first:04d}"
                     )
+                    columns.effective_year.append(year)
+                    try:
+                        columns.author_count.append(team)
+                    except OverflowError:
+                        # an earlier paper's count is the first bad value
+                        _add_citations(columns, draws, config.end_year)
+                        raise ValueError(outside_int32("authors", team)) from None
+                    draws.append(cites)
         columns.add_author(author_id, f"Synthetic Author {idx}", "other")
+        if len(draws) >= _FLUSH_PAPERS:
+            _add_citations(columns, draws, config.end_year)
+            draws = []
+    _add_citations(columns, draws, config.end_year)
     arrays = columns.finish()
     catalog, grants = _confer_awards(config, AuthorCorpus.from_columns(arrays, {}, {}))
     return AuthorCorpus.from_columns(arrays, grants, catalog)
+
+
+def _add_citations(
+    columns: ColumnBuilder, draws: list[np.ndarray], end_year: int
+) -> None:
+    """Append the citation events of papers whose Poisson counts, one per
+    year up to end_year, are draws[i]: the nonzero counts, in year order."""
+    if not draws:
+        return
+    counts = np.concatenate(draws)
+    lengths = np.fromiter(map(len, draws), np.int64, len(draws))
+    begin = np.cumsum(lengths) - lengths
+    year = np.arange(len(counts)) + np.repeat(end_year + 1 - lengths - begin, lengths)
+    cited = counts > 0
+    counts = counts[cited]
+    too_big = np.flatnonzero(counts >= 2**31)
+    if len(too_big):
+        raise ValueError(outside_int32("citation count", int(counts[too_big[0]])))
+    columns.per_pub.frombytes(np.add.reduceat(cited, begin, dtype=np.int32).tobytes())
+    columns.event_year.frombytes(year[cited].astype(np.int32).tobytes())
+    columns.event_count.frombytes(counts.astype(np.int32).tobytes())
 
 
 def _confer_awards(
@@ -161,7 +196,7 @@ def _confer_awards(
     ids = sorted(corpus.arrays.index)
     latent = Measure(config.latent_reputation)
     for year in range(config.award_start_year, config.end_year + 1):
-        column = measure_columns(snapshot_at(corpus, year), ids)[latent]
+        column = measure_columns(snapshot_at(corpus, year), ids, [latent])[latent]
         scores = dict(zip(ids, column))
         ranked = sorted(ids, key=lambda a: (-scores[a], a))
         award_id = f"synth-{year}"

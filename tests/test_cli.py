@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -304,3 +307,34 @@ class TestSynthCommand:
         out = capsys.readouterr().out
         mean = float(out.split("mean authors/paper: ")[1].splitlines()[0])
         assert 2.4 <= mean <= 3.6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--config", "{config}", "--out", "{out}"],
+        ["evaluate", "--corpus", "{corpus}", "--measures", "h,h-frac",
+         "--criteria", "tau_b,auc", "--years", "2005:2007", "--out", "{out}"],
+        ["corr-matrix", "--corpus", "{corpus}", "--years", "2010",
+         "--measures", "h,c-frac,h-ap", "--out", "{out}"],
+        ["roc", "--corpus", "{corpus}", "--year", "2010", "--out", "{out}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_leave_numpy_ma_unimported(argv, corpus_dir, tmp_path):
+    # numpy.ma costs an import of its own; np.unique, among others, pulls it in.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_authors": 12, "team_size_regime": "hyper"}))
+    fields = {"config": config, "corpus": corpus_dir, "out": tmp_path / "out"}
+    script = (
+        "import sys\n"
+        "from scimetrics.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", script, *(a.format(**fields) for a in argv)],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr

@@ -47,7 +47,7 @@ def tied_corpora(draw):
 
 def assert_columns_match_reference(corpus, year, ids):
     snap = snapshot_at(corpus, year)
-    columns = measure_columns(snap, ids)
+    columns = measure_columns(snap, ids, list(Measure))
     assert list(columns) == list(Measure)
     for i, author_id in enumerate(ids):
         reference = compute_all(author_id, snap)
@@ -55,6 +55,11 @@ def assert_columns_match_reference(corpus, year, ids):
             got, want = columns[measure][i], reference[measure]
             assert type(got) is type(want), (year, author_id, measure)
             assert got == want, (year, author_id, measure, got, want)
+
+
+def assert_same_bits(got, want):
+    assert [type(x) for x in got] == [type(x) for x in want]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def reference_filter(corpus, snap, author_filter):
@@ -95,6 +100,34 @@ class TestMeasureColumns:
         for year in range(config.start_year - 1, config.end_year + 2):
             assert_columns_match_reference(corpus, year, ids)
 
+    @pytest.mark.parametrize("measure", list(Measure))
+    def test_one_measure_equals_the_full_call(self, measure):
+        corpus = generate(
+            SynthConfig(rng_seed=5, n_authors=40, team_size_regime="hyper")
+        )
+        ids = sorted(corpus.authors)
+        for year in (1985, 2005, 2019):
+            snap = snapshot_at(corpus, year)
+            got = measure_columns(snap, ids, [measure])
+            assert list(got) == [measure]
+            full = measure_columns(snap, ids, list(Measure))
+            assert_same_bits(got[measure], full[measure])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        corpus=tied_corpora(),
+        year=st.integers(1998, 2013),
+        measures=st.lists(st.sampled_from(list(Measure)), unique=True),
+    )
+    def test_subset_equals_the_full_call(self, corpus, year, measures):
+        snap = snapshot_at(corpus, year)
+        ids = sorted(corpus.authors)
+        got = measure_columns(snap, ids, measures)
+        assert list(got) == measures
+        full = measure_columns(snap, ids, list(Measure))
+        for measure in measures:
+            assert_same_bits(got[measure], full[measure])
+
     def test_subset_order_and_unknown_author(self):
         corpus = AuthorCorpus(
             authors={
@@ -105,10 +138,11 @@ class TestMeasureColumns:
             }
         )
         snap = snapshot_at(corpus, 2005)
-        assert measure_columns(snap, ["a2", "a1"])[Measure.C] == [9.0, 3.0]
-        assert measure_columns(snap, [])[Measure.H] == []
+        columns = measure_columns(snap, ["a2", "a1"], list(Measure))
+        assert columns[Measure.C] == [9.0, 3.0]
+        assert measure_columns(snap, [], list(Measure))[Measure.H] == []
         with pytest.raises(KeyError, match="zz"):
-            measure_columns(snap, ["a1", "zz"])
+            measure_columns(snap, ["a1", "zz"], list(Measure))
 
     def test_sums_run_left_to_right(self):
         # 1e16 + 1 rounds back to 1e16, so only a compensated sum (the
@@ -120,7 +154,7 @@ class TestMeasureColumns:
         pubs = tuple(PublicationRecord(f"p{j}", 2000, 1, {}) for j in range(3))
         corpus = AuthorCorpus(authors={"a": AuthorProfile("a", "a", "other", pubs)})
         snap = Snapshot(2000, corpus, np.array(entries))
-        columns = measure_columns(snap, ["a"])
+        columns = measure_columns(snap, ["a"], list(Measure))
         reference = compute_all("a", snap)
         for measure in (Measure.C, Measure.C_FRAC):
             assert columns[measure] == [reference[measure]] == [1e16]
@@ -145,7 +179,7 @@ class TestMeasureColumns:
         ids = list(authors)
         tracemalloc.start()
         try:
-            columns = measure_columns(snap, ids)
+            columns = measure_columns(snap, ids, list(Measure))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

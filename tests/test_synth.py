@@ -1,3 +1,4 @@
+import hashlib
 import statistics
 
 import pytest
@@ -142,3 +143,67 @@ class TestGenerate:
     def test_rejects_years_it_cannot_serve(self, years, field):
         with pytest.raises(ValueError, match=f"^{field} "):
             SynthConfig(rng_seed=0, n_authors=30, **years)
+
+
+# SHA-256 of authors.jsonl, awards.csv and catalog.csv, concatenated, as
+# save_corpus writes them: any change to the order or number of the
+# generator's draws, or to the writer's bytes, changes these.
+PINNED_DIGESTS = {
+    "classic-c-frac": "148624e38282563a64d773eb815f0f5d3f8b47dbf143f1152b2a79fce272b118",
+    "classic-h": "b9909fbd14d49f07e8aeed42735ab44ebfd9eb54e953ae3784eb9af3e560e22c",
+    "growing-c-frac": "5b472b7a80048797f22ba90ba8cf6bc5d408d8fb11c6beea5773aa2a08cbc643",
+    "growing-h": "78042fc59fba487ad1e31e44f92d206f79192ad3aad613f09a636daf43e238ca",
+    "hyper-c-frac": "2d20be82c56b99f0a18f77c783e4ec669adcb6fcb8a2432e1e6ae5b92b708c35",
+    "hyper-h": "323d1e78e971888aff81bd339ed4cd2d34951928c5d18dc571d1211d36c6109c",
+    "no-awards": "0f00a9618acee4d6196880cff582ba12887c2f3a429bbed2a7684c674bac0e3d",
+    "empty": "1ff69bd38eff76f534d47f8f281a069c11f425e880905d71f6e9631c071f6242",
+}
+PINNED_CONFIGS = {
+    **{
+        f"{regime}-{latent}": dict(
+            rng_seed=0, n_authors=60, team_size_regime=regime,
+            latent_reputation=latent,
+        )
+        for regime in ("classic", "growing", "hyper")
+        for latent in ("c-frac", "h")
+    },
+    "no-awards": dict(
+        rng_seed=5, n_authors=60, team_size_regime="hyper", awards_per_year=0
+    ),
+    "empty": dict(rng_seed=0, n_authors=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_saved_corpus_bytes_are_pinned(name, tmp_path):
+    paths = save_corpus(generate(SynthConfig(**PINNED_CONFIGS[name])), tmp_path)
+    digest = hashlib.sha256()
+    for key in ("authors", "awards", "catalog"):
+        digest.update(paths[key].read_bytes())
+    assert digest.hexdigest() == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (
+            dict(citations_per_paper_year=5e9),
+            "citation count 4999984603 is outside the 32-bit integer range",
+        ),
+        (
+            dict(classic_team_mean=5e9),
+            "authors 4999906539 is outside the 32-bit integer range",
+        ),
+        (  # a regular paper's count comes before a consortium paper's team
+            dict(
+                team_size_regime="hyper", hyper_author_fraction=1.0,
+                hyper_onset_year=1980, citations_per_paper_year=5e9,
+                hyper_team_mean=5e9,
+            ),
+            "citation count 5000072700 is outside the 32-bit integer range",
+        ),
+    ],
+)
+def test_values_outside_int32_fail_named(config, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate(SynthConfig(rng_seed=0, n_authors=1, **config))
