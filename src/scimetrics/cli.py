@@ -2,7 +2,11 @@
 
 Subcommands: validate, indices, evaluate, roc, corr-matrix, synth.  Every
 command is a pure function of its input files and flags; outputs are written
-atomically (write-then-rename) so failures never leave partial files.
+atomically (write-then-rename) so failures never leave partial files.  The
+one file a command may write besides its outputs is the column cache
+`.authors.jsonl.columns.npz` beside the corpus's authors.jsonl, which
+`ingest.load_authors` keeps so that the next command need not parse the file
+again; it changes no result.
 """
 
 from __future__ import annotations
@@ -11,9 +15,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import evaluation, ingest, rankcorr, synth
@@ -32,15 +34,7 @@ def _fmt(value: float) -> str:
 
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    ingest.atomic_write(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
 def _load_corpus(corpus_path: str) -> tuple[AuthorCorpus, ingest.CleaningReport]:

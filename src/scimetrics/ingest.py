@@ -15,16 +15,22 @@ Formats:
 from __future__ import annotations
 
 import csv
+import functools
+import hashlib
 import io
 import json
+import os
 import string
+import tempfile
+import zipfile
 from array import array
 from collections import Counter
-from collections.abc import Container, Iterable, Iterator
+from collections.abc import Callable, Container, Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 import orjson
@@ -164,10 +170,36 @@ def _string(obj: dict, key: str, default: str | None = None) -> str:
 def load_authors(path: str | Path) -> tuple[CorpusArrays, CleaningReport]:
     """Load and clean an authors.jsonl file into columns.  Whatever is wrong
     with a line, from its bytes to a repeated author_id, fails as one
-    ParseError naming path:line."""
+    ParseError naming path:line.
+
+    The columns and report of a successful parse are kept in a column cache
+    beside the file (`cache_path`), and later loads read them back while the
+    file's bytes and the loader's code are those they were parsed with.  A
+    cache that cannot be written is skipped, and deleting one is always safe.
+    """
+    cache = cache_path(path)
+    cached = _read_cache(cache, path)
+    if cached is not None:
+        return cached
+    arrays, report, digest = parse_authors(path)
+    try:
+        atomic_write(cache, lambda fh: _write_cache(fh, arrays, report, digest))
+    except OSError:
+        pass  # a read-only directory: the next load parses again
+    return arrays, report
+
+
+def parse_authors(path: str | Path) -> tuple[CorpusArrays, CleaningReport, bytes]:
+    """`load_authors` without the column cache: the columns and report of the
+    file at `path`, and the SHA-256 of the bytes they were parsed from,
+    hashed as they are read."""
     columns = ColumnBuilder()
     report = CleaningReport()
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    raw = _HashingReader(path)
+    # open()'s own text layers: universal newlines, "\r" included.
+    with io.TextIOWrapper(
+        io.BufferedReader(raw), encoding="utf-8", errors="surrogateescape"
+    ) as fh:
         for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
             if not line.strip():
                 continue
@@ -181,7 +213,228 @@ def load_authors(path: str | Path) -> tuple[CorpusArrays, CleaningReport]:
                 ) from exc
     arrays = columns.finish()
     _backdate(arrays)
+    return arrays, report, raw.sha.digest()
+
+
+class _HashingReader(io.RawIOBase):
+    """A file read as raw bytes, which are hashed into `sha` as they are
+    read."""
+
+    def __init__(self, path: str | Path) -> None:
+        self._file = open(path, "rb", buffering=0)
+        self.sha = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(buffer)
+        self.sha.update(memoryview(buffer)[:n])
+        return n
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def cache_path(path: str | Path) -> Path:
+    """The column cache of an authors file: `.authors.jsonl.columns.npz`
+    beside `authors.jsonl`."""
+    path = Path(path)
+    return path.with_name(f".{path.name}.columns.npz")
+
+
+@functools.cache
+def _code_key() -> bytes:
+    """The SHA-256 of the source of this loader and of the columns it
+    builds, so that any edit to either invalidates every column cache."""
+    sha = hashlib.sha256()
+    for source in (Path(__file__), Path(__file__).with_name("corpus.py")):
+        sha.update(source.read_bytes())
+    return sha.digest()
+
+
+def _sha256(path: str | Path) -> bytes:
+    """The digest `parse_authors` returns for the file at `path`."""
+    buffer = bytearray(1 << 20)
+    with _HashingReader(path) as raw:
+        while raw.readinto(buffer):
+            pass
+        return raw.sha.digest()
+
+
+# Every member of a column cache, in the order a hit reads them, each a
+# one-dimensional array of this dtype.  The integer columns of CorpusArrays
+# are kept as they are.  The author ids, names and fields, the pub_ids and
+# the reject log's triples are one UTF-8 `text`, cut by `lengths`, each
+# string's length in code points.
+_CACHE_DTYPES = {
+    "code": np.uint8,
+    "digest": np.uint8,
+    "starts": np.int64,
+    "effective_year": np.int32,
+    "text": np.uint8,
+    "lengths": np.int64,
+    "author_count": np.int32,
+    "event_start": np.int64,
+    "event_year": np.int32,
+    "event_count": np.int32,
+}
+_INT_COLUMNS = (
+    "starts", "effective_year", "author_count",
+    "event_start", "event_year", "event_count",
+)
+_CACHE_FAULTS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
+_STRINGS_AT_ONCE = 1 << 14
+
+
+def _write_cache(
+    fh: BinaryIO, arrays: CorpusArrays, report: CleaningReport, digest: bytes
+) -> None:
+    """Write the column cache of `arrays` and `report`, parsed from bytes
+    whose SHA-256 is `digest`, in the format np.savez writes: a zip of
+    stored .npy members.  np.savez would copy each column in 16 MiB pieces
+    and need the strings' lengths whole; here each column is written from
+    its own buffer and the lengths a batch at a time, so that writing adds
+    little more than the encoded text to memory, and a load that writes a
+    cache peaks no higher than a parse."""
+
+    def batches() -> Iterator[list[str]]:
+        strings = chain(
+            arrays.index, arrays.names, arrays.fields, arrays.pub_id,
+            chain.from_iterable(report.reject_log),
+        )
+        while batch := list(islice(strings, _STRINGS_AT_ONCE)):
+            yield batch
+
+    def utf8(batch: list[str]) -> bytes:
+        # surrogatepass, since a JSON "\ud800" escape loads as a lone surrogate
+        return "".join(batch).encode("utf-8", "surrogatepass")
+
+    n_strings = 3 * len(arrays.names) + len(arrays.pub_id) + 3 * len(report.reject_log)
+    text = list(map(utf8, batches()))
+    members = {
+        "code": (32, [_code_key()]),
+        "digest": (32, [digest]),
+        "text": (sum(map(len, text)), text),
+        "lengths": (
+            n_strings,
+            (np.fromiter(map(len, batch), np.int64, len(batch)) for batch in batches()),
+        ),
+    }
+    for name in _INT_COLUMNS:
+        column = getattr(arrays, name)
+        members[name] = (len(column), [column])
+    with zipfile.ZipFile(fh, "w") as zf:
+        for name, dtype in _CACHE_DTYPES.items():
+            count, chunks = members[name]
+            header = {
+                "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+                "fortran_order": False,
+                "shape": (count,),
+            }
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as out:
+                np.lib.format.write_array_header_1_0(out, header)
+                for chunk in chunks:
+                    out.write(memoryview(chunk).cast("B"))
+
+
+def _read_cache(
+    cache: Path, path: str | Path
+) -> tuple[CorpusArrays, CleaningReport] | None:
+    """The columns and report kept in `cache`, or None unless it is an npz
+    of every member with its dtype and a consistent length, written by this
+    loader's code from the bytes now at `path`.  Nothing is unpickled."""
+    try:
+        npz = np.load(cache, allow_pickle=False)
+    except _CACHE_FAULTS:
+        return None
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        return None
+    with npz:
+        try:
+            return _cached_columns(npz, path)
+        except _CACHE_FAULTS:
+            return None
+
+
+def _cached_columns(
+    npz: np.lib.npyio.NpzFile, path: str | Path
+) -> tuple[CorpusArrays, CleaningReport] | None:
+    """`_read_cache` of an open npz; a member that is not as `_write_cache`
+    writes it is a ValueError.  The strings are cut before the citation
+    events are read, so that a hit peaks lower than a parse."""
+
+    def member(name: str) -> np.ndarray:
+        array = npz[name]
+        if array.dtype != _CACHE_DTYPES[name] or array.ndim != 1:
+            raise ValueError(f"column cache member {name} is {array.dtype}")
+        return array
+
+    if bytes(member("code")) != _code_key():
+        return None
+    if bytes(member("digest")) != _sha256(path):
+        return None
+    starts, effective_year = member("starts"), member("effective_year")
+    n_authors, n_pubs = len(starts) - 1, len(effective_year)
+    ids, names, fields, pub_id, rejects = _cut(
+        member("text"), member("lengths"), [n_authors] * 3 + [n_pubs]
+    )
+    author_count, event_start = member("author_count"), member("event_start")
+    event_year, event_count = member("event_year"), member("event_count")
+    if not (
+        len(author_count) == len(event_start) - 1 == n_pubs == starts[-1]
+        and len(event_year) == len(event_count) == event_start[-1]
+    ):
+        raise ValueError("column cache members differ in length")
+    reject_log = list(zip(*[iter(rejects)] * 3))
+    arrays = CorpusArrays(
+        index=dict(zip(ids, range(n_authors))),
+        names=names,
+        fields=fields,
+        starts=starts,
+        pub_id=pub_id,
+        effective_year=effective_year,
+        author_count=author_count,
+        event_start=event_start,
+        event_year=event_year,
+        event_count=event_count,
+    )
+    report = CleaningReport(
+        accepted=n_pubs,  # every accepted publication is a row of the columns
+        rejected_by_reason=Counter(reason for _, _, reason in reject_log),
+        reject_log=reject_log,
+    )
     return arrays, report
+
+
+def _cut(text: np.ndarray, lengths: np.ndarray, counts: list[int]) -> list[list[str]]:
+    """The strings of a column cache's `text` as lists of `counts` strings
+    each, then one list of the rest, which must make whole triples."""
+    rest = len(lengths) - sum(counts)
+    if min(counts, default=0) < 0 or rest < 0 or rest % 3 or lengths.min(initial=0) < 0:
+        raise ValueError("column cache strings do not fit its columns")
+    decoded = str(text.data, "utf-8", "surrogatepass")
+    if lengths.sum() != len(decoded):
+        raise ValueError("column cache text differs from its lengths")
+    sizes = lengths.tolist()
+    cuts = zip(accumulate(sizes, initial=0), accumulate(sizes))
+    strings = iter([decoded[start:end] for start, end in cuts])
+    return [list(islice(strings, n)) for n in [*counts, rest]]
+
+
+def atomic_write(path: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Write `path` through `write` under a temporary name beside it, then
+    rename it into place, so that a failure never leaves a partial file."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _backdate(arrays: CorpusArrays) -> None:

@@ -30,6 +30,13 @@ def load_publications(tmp_path, pubs):
     return load_corpus(path)
 
 
+AUTHOR_A1 = (
+    b'{"author_id": "a1", "name": "A", "publications": [{"pub_id": "p1", '
+    b'"year": 2000, "authors": 2, "cites": {"2001": 3}}]}'
+)
+AUTHOR_A2 = b'{"author_id": "a2", "publications": []}'
+
+
 class TestCleanPublication:
     def test_cited_before_published(self, tmp_path):
         corpus, report = load_publications(tmp_path, [
@@ -412,6 +419,54 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match=re.escape(message)) as err:
             load_corpus(*paths)
         assert str(err.value).startswith(f"{tmp_path / name}:{line}: ")
+
+    def test_crlf_lines_load(self, tmp_path):
+        path = tmp_path / "authors.jsonl"
+        path.write_bytes(
+            b'{"schema_version": 1}\r\n' + AUTHOR_A1 + b"\r\n" + AUTHOR_A2 + b"\r\n"
+        )
+        corpus, report = load_corpus(path)
+        assert list(corpus.arrays.index) == ["a1", "a2"]
+        assert corpus.arrays.pub_id == ["p1"]
+        assert corpus.arrays.event_year.tolist() == [2001]
+        assert report.accepted == 1
+
+    def test_lone_carriage_return_ends_a_line(self, tmp_path):
+        # Lines end at "\n", "\r\n" or a lone "\r", so a lone "\r" inside a
+        # record splits it, and its first half fails at its own line.
+        path = tmp_path / "authors.jsonl"
+        path.write_bytes(AUTHOR_A1 + b'\n{"author_id": "a2",\r "publications": []}\n')
+        with pytest.raises(ParseError) as err:
+            load_corpus(path)
+        assert str(err.value) == (
+            f"{path}:2: bad author record: Expecting property name enclosed in "
+            "double quotes: line 2 column 1 (char 20)"
+        )
+        path.write_bytes(AUTHOR_A1 + b"\r" + AUTHOR_A2)
+        corpus, _ = load_corpus(path)
+        assert list(corpus.arrays.index) == ["a1", "a2"]
+
+    def test_byte_order_mark_fails_on_line_1(self, tmp_path):
+        path = tmp_path / "authors.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + AUTHOR_A1 + b"\n")
+        with pytest.raises(ParseError) as err:
+            load_corpus(path)
+        assert str(err.value) == (
+            f"{path}:1: bad author record: Unexpected UTF-8 BOM (decode using "
+            "utf-8-sig): line 1 column 1 (char 0)"
+        )
+
+    def test_non_utf8_byte_fails_on_its_line(self, tmp_path):
+        path = tmp_path / "authors.jsonl"
+        path.write_bytes(
+            AUTHOR_A1 + b"\n" + AUTHOR_A2 + b'\n{"author_id": "a3", "name": "\xff"}\n'
+        )
+        with pytest.raises(ParseError) as err:
+            load_corpus(path)
+        assert str(err.value) == (
+            f"{path}:3: 'utf-8' codec can't decode byte 0xff in position 29: "
+            "invalid start byte"
+        )
 
     def test_valid_utf8_names_load(self, tmp_path):
         path = tmp_path / "authors.jsonl"
