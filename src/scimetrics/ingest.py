@@ -423,12 +423,23 @@ def _cut(text: np.ndarray, lengths: np.ndarray, counts: list[int]) -> list[list[
     return [list(islice(strings, n)) for n in [*counts, rest]]
 
 
+@functools.cache
+def _umask() -> int:
+    """The process's umask, read once: reading it means setting it."""
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write(path: Path, write: Callable[[BinaryIO], object]) -> None:
     """Write `path` through `write` under a temporary name beside it, then
-    rename it into place, so that a failure never leaves a partial file."""
+    rename it into place, so that a failure never leaves a partial file.
+    The file gets the mode `open()` would give it: mkstemp's 0600 would hide
+    a shared corpus's cache, and the commands' reports, from other users."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
             write(fh)
         os.replace(tmp, path)
     except BaseException:

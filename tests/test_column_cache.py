@@ -5,13 +5,15 @@ a miss that parses and rewrites it."""
 import dataclasses
 import hashlib
 import json
+import os
 import pickle
+import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scimetrics import ingest
+from scimetrics import cli, ingest
 from scimetrics.errors import ParseError
 from scimetrics.ingest import cache_path, load_authors, parse_authors, save_corpus
 from scimetrics.synth import SynthConfig, generate
@@ -228,6 +230,31 @@ def test_unwritable_directory_loads_and_leaves_no_file(
     monkeypatch.setattr(module, name, deny)
     assert columns_and_report(*load_authors(path)) == expected
     assert [p.name for p in tmp_path.iterdir()] == ["authors.jsonl"]
+
+
+@pytest.fixture
+def umask(request):
+    """Run under the umask `request.param`, read afresh by `atomic_write`."""
+    ingest._umask.cache_clear()
+    old = os.umask(request.param)
+    yield request.param
+    os.umask(old)
+    ingest._umask.cache_clear()
+
+
+# mkstemp creates 0600 whatever the umask; the cache and the CLI's reports
+# get the mode that open() gives, so a shared corpus's cache stays readable.
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o002, 0o664), (0o077, 0o600)],
+    indirect=["umask"], ids=["022", "002", "077"],
+)
+def test_cache_and_reports_get_the_umask_mode(tmp_path, umask, mode):
+    path = write_lines(tmp_path, line("a1", [pub("p1")]))
+    load_authors(path)
+    assert stat.S_IMODE(cache_path(path).stat().st_mode) == mode
+    report = tmp_path / "out" / "report.csv"
+    assert cli.main(["validate", "--corpus", str(tmp_path), "--report", str(report)]) == 0
+    assert stat.S_IMODE(report.stat().st_mode) == mode
 
 
 def test_malformed_line_fails_alike_twice_and_is_never_cached(tmp_path, parses):
