@@ -6,11 +6,8 @@ from .corpus import (
     AuthorProfile,
     AwardCatalogEntry,
     AwardGrant,
-    CitationVector,
     PublicationRecord,
     Snapshot,
-    avg_authors_per_publication,
-    citation_vector,
     snapshot_at,
 )
 from .errors import DegenerateInputError, ParseError
@@ -46,7 +43,6 @@ __all__ = [
     "AwardCatalogEntry",
     "AwardGrant",
     "AwardScheme",
-    "CitationVector",
     "DegenerateInputError",
     "EvaluationSeries",
     "Measure",
@@ -56,9 +52,7 @@ __all__ = [
     "RocCurve",
     "Snapshot",
     "SynthConfig",
-    "avg_authors_per_publication",
     "award_scores",
-    "citation_vector",
     "compute_all",
     "compute_measure",
     "effectiveness",

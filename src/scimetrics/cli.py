@@ -124,37 +124,60 @@ def _filter_from_args(args: argparse.Namespace) -> AuthorFilter:
     )
 
 
+# Each evaluate flag a manifest records, with the `type` build_parser gives
+# it (str where it gives none).
+_MANIFEST_TYPES = {
+    "corpus": str,
+    "measures": str,
+    "criteria": str,
+    "years": str,
+    "horizon": int,
+    "award_scheme": str,
+    "award_threshold": int,
+    "award_factor": float,
+    "award_subset_frac": float,
+    "filter": str,
+    "max_avg_authors": float,
+    "window": str,
+    "seed": int,
+}
+_TYPE_NOUNS = {str: "a string", int: "an integer", float: "a number"}
+
+
 def _evaluate_config(args: argparse.Namespace) -> dict:
     return {
         "command": "evaluate",
-        "corpus": str(args.corpus),
-        "measures": args.measures,
-        "criteria": args.criteria,
-        "years": args.years,
-        "horizon": args.horizon,
-        "award_scheme": args.award_scheme,
-        "award_threshold": args.award_threshold,
-        "award_factor": args.award_factor,
-        "award_subset_frac": args.award_subset_frac,
-        "filter": args.filter,
-        "max_avg_authors": args.max_avg_authors,
-        "window": args.window,
-        "seed": args.seed,
+        **{key: getattr(args, key) for key in _MANIFEST_TYPES},
     }
+
+
+def _apply_manifest(args: argparse.Namespace) -> None:
+    """Set the flags a manifest records, each checked against the JSON type
+    its flag parses to: a number for a float flag, an integer for an int
+    flag (a bool is neither) and a string otherwise."""
+    path = args.manifest
+    with open(path) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: a manifest must be a JSON object")
+    unknown = set(config) - {"command", *_MANIFEST_TYPES}
+    if unknown:
+        raise ValueError(f"{path}: unknown manifest keys {sorted(unknown)}")
+    for key, value in config.items():
+        if key != "command":
+            setattr(args, key, value)
+    for key, kind in _MANIFEST_TYPES.items():
+        value = getattr(args, key)
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValueError(
+                f"{path}: {key} must be {_TYPE_NOUNS[kind]}, got {json.dumps(value)}"
+            )
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.manifest:
-        with open(args.manifest) as fh:
-            config = json.load(fh)
-        unknown = set(config) - set(_evaluate_config(args))
-        if unknown:
-            raise ValueError(
-                f"{args.manifest}: unknown manifest keys {sorted(unknown)}"
-            )
-        for key, value in config.items():
-            if key != "command":
-                setattr(args, key, value)
+        _apply_manifest(args)
     config = _evaluate_config(args)
     corpus, _ = _load_corpus(args.corpus)
     measures = _parse_measures(args.measures)

@@ -3,7 +3,6 @@ plus temporal snapshots restricting a corpus to an observation year."""
 
 from __future__ import annotations
 
-import math
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -12,8 +11,6 @@ from functools import cached_property
 import numpy as np
 
 VALID_YEAR_RANGE = (1950, 2030)
-
-NORMALIZERS = ("none", "author_count", "sqrt_author_count")
 
 
 @dataclass(frozen=True)
@@ -75,8 +72,8 @@ class AuthorCorpus:
 
     The constructor flattens profiles, for tests and library callers; ingest
     and synth write the columns directly and call `from_columns`.  `authors`
-    rebuilds the profiles from the columns on first use, for the per-author
-    reference path; no CLI command builds it.
+    rebuilds the profiles from the columns on first use, for `==` and for
+    callers that read profiles; no CLI command builds it.
     """
 
     def __init__(
@@ -281,16 +278,6 @@ def outside_int32(what: str, value: int) -> str:
     return f"{what} {value} is outside the 32-bit integer range"
 
 
-@dataclass(frozen=True)
-class SnapshotPublication:
-    """A publication restricted to citations up to the observation year."""
-
-    pub_id: str
-    effective_year: int
-    author_count: int
-    citations: int
-
-
 @dataclass(frozen=True, eq=False)
 class Snapshot:
     """The corpus as observable at the end of `observation_year`: a column
@@ -299,25 +286,6 @@ class Snapshot:
     observation_year: int
     corpus: AuthorCorpus
     citations: np.ndarray  # int64 per publication
-
-    def __contains__(self, author_id: str) -> bool:
-        return author_id in self.corpus.arrays.index
-
-    @cached_property
-    def publications(self) -> dict[str, tuple[SnapshotPublication, ...]]:
-        """Each author's publications in view, in publication order; built on
-        first use for the per-author reference path."""
-        cites = iter(self.citations.tolist())
-        # zip stops at an author's last paper without taking a count from
-        # `cites`, so the counts stay aligned with the next author's papers.
-        return {
-            author_id: tuple(
-                SnapshotPublication(p.pub_id, p.effective_year, p.author_count, int(c))
-                for p, c in zip(author.publications, cites)
-                if p.effective_year <= self.observation_year
-            )
-            for author_id, author in self.corpus.authors.items()
-        }
 
     def in_view(self, ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """(row, pub) of every publication in view of the authors `ids`,
@@ -334,24 +302,6 @@ class Snapshot:
         pub = np.arange(len(row)) + np.repeat(shift, lengths)
         keep = arrays.effective_year[pub] <= self.observation_year
         return row[keep], pub[keep]
-
-
-@dataclass(frozen=True)
-class CitationVector:
-    """Per-paper citation counts in non-increasing order, with the aligned
-    author counts retained for coauthor-normalized indices."""
-
-    entries: tuple[float, ...]
-    author_counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != len(self.author_counts):
-            raise ValueError("entries and author_counts must align")
-        if any(a < b for a, b in zip(self.entries, self.entries[1:])):
-            raise ValueError("entries must be non-increasing")
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def snapshot_at(corpus: AuthorCorpus, year: int) -> Snapshot:
@@ -371,41 +321,3 @@ def snapshot_at(corpus: AuthorCorpus, year: int) -> Snapshot:
         first_event,
     )
     return Snapshot(observation_year=year, corpus=corpus, citations=citations)
-
-
-def citation_vector(
-    author_id: str, snapshot: Snapshot, normalizer: str = "none"
-) -> CitationVector:
-    """Build the (optionally coauthor-normalized) citation vector of an author.
-
-    Normalization is applied before sorting, so the descending order reflects
-    the normalized counts.
-    """
-    if author_id not in snapshot:
-        raise KeyError(f"unknown author {author_id!r}")
-    if normalizer not in NORMALIZERS:
-        raise ValueError(f"unknown normalizer {normalizer!r}")
-    pairs = []
-    for pub in snapshot.publications[author_id]:
-        if normalizer == "author_count":
-            value = pub.citations / pub.author_count
-        elif normalizer == "sqrt_author_count":
-            value = pub.citations / math.sqrt(pub.author_count)
-        else:
-            value = float(pub.citations)
-        pairs.append((value, pub.author_count))
-    pairs.sort(key=lambda t: -t[0])
-    return CitationVector(
-        entries=tuple(v for v, _ in pairs),
-        author_counts=tuple(a for _, a in pairs),
-    )
-
-
-def avg_authors_per_publication(author_id: str, snapshot: Snapshot) -> float:
-    """Arithmetic mean of author_count over the author's snapshot papers."""
-    if author_id not in snapshot:
-        raise KeyError(f"unknown author {author_id!r}")
-    pubs = snapshot.publications[author_id]
-    if not pubs:
-        return 0.0
-    return sum(p.author_count for p in pubs) / len(pubs)

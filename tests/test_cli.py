@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
+import reference_indices
 from scimetrics import effectiveness, evaluation, snapshot_at
 from scimetrics.cli import main
-from scimetrics.indices import Measure, compute_all
+from scimetrics.indices import Measure
 from scimetrics.ingest import load_corpus, save_corpus
 from scimetrics.synth import SynthConfig, generate
 
@@ -105,7 +106,7 @@ class TestIndices:
         snapshot = snapshot_at(corpus, 2010)
         header = rows[0]
         for row in rows[1:]:
-            values = compute_all(row[0], snapshot)
+            values = reference_indices.compute_all(row[0], snapshot)
             for name, cell in zip(header[1:], row[1:]):
                 assert float(cell) == pytest.approx(
                     values[Measure(name)], rel=1e-5
@@ -175,6 +176,39 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "bogus_key" in err and "horizn" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("horizon", "5", 'horizon must be an integer, got "5"'),
+            ("award_factor", "10", 'award_factor must be a number, got "10"'),
+            ("measures", 5, "measures must be a string, got 5"),
+            ("years", None, "years must be a string, got null"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", True, "seed must be an integer, got true"),
+        ],
+    )
+    def test_manifest_value_of_wrong_type_rejected(
+        self, corpus_dir, tmp_path, capsys, key, value, message
+    ):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "evaluate", "corpus": str(corpus_dir),
+            "years": "2005:2006", key: value,
+        }))
+        out = tmp_path / "rerun"
+        assert main(["evaluate", "--manifest", str(manifest),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+        assert not out.exists()
+
+    def test_manifest_not_an_object_rejected(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[]")
+        assert main(["evaluate", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "rerun")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {manifest}: a manifest must be a JSON object\n"
 
     def test_each_year_snapshotted_once(self, corpus_dir, tmp_path, monkeypatch):
         years = []

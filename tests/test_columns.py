@@ -1,5 +1,6 @@
 """The columnar path (snapshot arrays, measure_columns, apply_filter) against
-the per-author reference: equal values of equal type, never approximately."""
+the per-author reference in reference_indices.py: equal values of equal type,
+never approximately."""
 
 import tracemalloc
 
@@ -7,18 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_indices as reference
 from scimetrics.corpus import (
     AuthorCorpus,
     AuthorProfile,
-    CitationVector,
     PublicationRecord,
     Snapshot,
-    avg_authors_per_publication,
     snapshot_at,
 )
 from scimetrics.errors import DegenerateInputError
 from scimetrics.evaluation import AuthorFilter, apply_filter
-from scimetrics.indices import Measure, c_index, compute_all, measure_columns, mu_index
+from scimetrics.indices import Measure, measure_columns
 from scimetrics.synth import SynthConfig, generate
 
 
@@ -50,9 +50,9 @@ def assert_columns_match_reference(corpus, year, ids):
     columns = measure_columns(snap, ids, list(Measure))
     assert list(columns) == list(Measure)
     for i, author_id in enumerate(ids):
-        reference = compute_all(author_id, snap)
+        values = reference.compute_all(author_id, snap)
         for measure in Measure:
-            got, want = columns[measure][i], reference[measure]
+            got, want = columns[measure][i], values[measure]
             assert type(got) is type(want), (year, author_id, measure)
             assert got == want, (year, author_id, measure, got, want)
 
@@ -70,10 +70,12 @@ def reference_filter(corpus, snap, author_filter):
         return [
             a
             for a in ids
-            if avg_authors_per_publication(a, snap) <= author_filter.max_avg_authors
+            if reference.avg_authors_per_publication(a, snap)
+            <= author_filter.max_avg_authors
         ]
     if author_filter.mode == "bottom_half_citations":
-        totals = {a: sum(p.citations for p in snap.publications[a]) for a in ids}
+        pubs = reference.publications(snap)
+        totals = {a: sum(p.citations for p in pubs[a]) for a in ids}
         return sorted(sorted(ids, key=lambda a: (totals[a], a))[: len(ids) // 2])
     start, end = author_filter.window
     kept = []
@@ -148,18 +150,18 @@ class TestMeasureColumns:
         # 1e16 + 1 rounds back to 1e16, so only a compensated sum (the
         # built-in sum from Python 3.12 on) reaches 1e16 + 2.
         entries = (1e16, 1.0, 1.0)
-        vector = CitationVector(entries, (1, 1, 1))
-        assert c_index(vector) == 1e16
-        assert mu_index(vector) == 1e16 / 3
+        vector = reference.CitationVector(entries, (1, 1, 1))
+        assert reference.c_index(vector) == 1e16
+        assert reference.mu_index(vector) == 1e16 / 3
         pubs = tuple(PublicationRecord(f"p{j}", 2000, 1, {}) for j in range(3))
         corpus = AuthorCorpus(authors={"a": AuthorProfile("a", "a", "other", pubs)})
         snap = Snapshot(2000, corpus, np.array(entries))
         columns = measure_columns(snap, ["a"], list(Measure))
-        reference = compute_all("a", snap)
+        values = reference.compute_all("a", snap)
         for measure in (Measure.C, Measure.C_FRAC):
-            assert columns[measure] == [reference[measure]] == [1e16]
+            assert columns[measure] == [values[measure]] == [1e16]
         for measure in (Measure.MU, Measure.MU_FRAC):
-            assert columns[measure] == [reference[measure]] == [1e16 / 3]
+            assert columns[measure] == [values[measure]] == [1e16 / 3]
 
     def test_memory_is_not_authors_times_widest_author(self):
         # One 2,000-paper author among 2,000 ten-paper authors: a single
@@ -184,8 +186,8 @@ class TestMeasureColumns:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20, peak
-        reference = compute_all("prolific", snap)
-        assert [columns[m][-1] for m in Measure] == [reference[m] for m in Measure]
+        values = reference.compute_all("prolific", snap)
+        assert [columns[m][-1] for m in Measure] == [values[m] for m in Measure]
 
 
 class TestApplyFilterColumns:

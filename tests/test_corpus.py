@@ -3,13 +3,15 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from reference_indices import (
+    CitationVector,
+    avg_authors_per_publication,
+    citation_vector,
+)
 from scimetrics.corpus import (
     AuthorCorpus,
     AuthorProfile,
-    CitationVector,
     PublicationRecord,
-    avg_authors_per_publication,
-    citation_vector,
     snapshot_at,
 )
 from scimetrics.ingest import load_corpus
@@ -45,16 +47,17 @@ class TestSnapshot:
             [PublicationRecord("p1", 2005, 1, {2006: 3, 2012: 7})]
         )
         snap = snapshot_at(corpus, 2010)
-        (pub,) = snap.publications["a1"]
-        assert pub.citations == 3
+        row, pub = snap.in_view(["a1"])
+        assert row.tolist() == pub.tolist() == [0]
+        assert snap.citations.tolist() == [3]
 
     def test_boundary_exclusion(self):
         corpus = single_author_corpus(
             [PublicationRecord("p1", 2005, 1, {2006: 3, 2012: 7})]
         )
         snap = snapshot_at(corpus, 2004)
-        assert "a1" in snap
-        assert snap.publications["a1"] == ()
+        row, pub = snap.in_view(["a1"])
+        assert row.tolist() == pub.tolist() == []
 
     def test_year_range_error(self):
         corpus = single_author_corpus([])
@@ -76,13 +79,11 @@ class TestSnapshot:
             return total
 
         prev = -1
+        ids = list(random_corpus.authors)
         for year in range(1980, 2020, 4):
             snap = snapshot_at(random_corpus, year)
-            snap_total = sum(
-                p.citations
-                for pubs in snap.publications.values()
-                for p in pubs
-            )
+            _, pub = snap.in_view(ids)
+            snap_total = sum(snap.citations[pub].tolist())
             assert snap_total == brute_totals(year)
             assert snap_total >= prev
             prev = snap_total

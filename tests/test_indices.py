@@ -5,20 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from scimetrics.corpus import (
-    AuthorCorpus,
-    AuthorProfile,
+from reference_indices import (
     CitationVector,
-    PublicationRecord,
-    snapshot_at,
-)
-from scimetrics.indices import (
-    FRACTIONAL,
-    FRAC_OF,
-    Measure,
-    TRADITIONAL,
     c_index,
-    compute_all,
     fractional_index,
     g_index,
     h_ap_index,
@@ -30,6 +19,13 @@ from scimetrics.indices import (
     mu_index,
     o_index,
 )
+from scimetrics.corpus import (
+    AuthorCorpus,
+    AuthorProfile,
+    PublicationRecord,
+    snapshot_at,
+)
+from scimetrics.indices import FRAC_OF, Measure, compute_all
 
 
 def vec(entries, author_counts=None):
@@ -56,65 +52,106 @@ def frac_vector(pairs):
     return vec([c / a for c, a in ordered], [a for _, a in ordered])
 
 
+def alone(*citations):
+    """Single-author papers with these citation counts."""
+    return [(c, 1) for c in citations]
+
+
+def library(pairs):
+    """compute_all of a one-author corpus of (citations, authors) papers."""
+    papers = tuple(
+        PublicationRecord(f"p{i}", 2000, a, {2001: c}) for i, (c, a) in enumerate(pairs)
+    )
+    corpus = AuthorCorpus(authors={"a1": AuthorProfile("a1", "a1", "other", papers)})
+    return compute_all("a1", snapshot_at(corpus, 2010))
+
+
+FIVE_PAPERS = [(10, 2), (8, 1), (5, 5), (4, 4), (3, 1)]  # c/A: 5, 8, 1, 1, 3
+
+
 class TestExamples:
+    """Hand-computed values, through the reference's per-vector function and
+    through compute_all on a one-author corpus of the same papers."""
+
     def test_h(self):
-        assert h_index(vec([])) == 0
-        assert h_index(vec([10, 8, 5, 4, 3])) == 4
-        assert h_index(vec([1, 1, 1])) == 1
+        cases = ((alone(), 0), (alone(10, 8, 5, 4, 3), 4), (alone(1, 1, 1), 1))
+        for pairs, want in cases:
+            assert h_index(raw_vector(pairs)) == want
+            assert library(pairs)[Measure.H] == want
 
     def test_c(self):
-        assert c_index(vec([])) == 0
-        assert c_index(vec([10, 8, 5, 4, 3])) == 30
-        assert c_index(vec([8, 5, 3, 1, 1])) == 18
+        cases = ((alone(), 0), (alone(10, 8, 5, 4, 3), 30), (alone(8, 5, 3, 1, 1), 18))
+        for pairs, want in cases:
+            assert c_index(raw_vector(pairs)) == want
+            assert library(pairs)[Measure.C] == want
 
     def test_mu(self):
-        assert mu_index(vec([10, 8, 5, 4, 3])) == 6
-        assert mu_index(vec([])) == 0
-        assert mu_index(vec([7])) == 7
+        for pairs, want in ((alone(10, 8, 5, 4, 3), 6), (alone(), 0), (alone(7), 7)):
+            assert mu_index(raw_vector(pairs)) == want
+            assert library(pairs)[Measure.MU] == want
 
     def test_g(self):
-        assert g_index(vec([10, 8, 5, 4, 3])) == 5
-        assert g_index(vec([0, 0])) == 0
-        assert g_index(vec([8, 5, 3, 1, 1])) == 4
+        cases = (
+            (alone(10, 8, 5, 4, 3), 5),
+            (alone(0, 0), 0),
+            (alone(8, 5, 3, 1, 1), 4),
+            (alone(4, 0), 2),  # 4 citations cover 2^2 exactly
+        )
+        for pairs, want in cases:
+            assert g_index(raw_vector(pairs)) == want
+            assert library(pairs)[Measure.G] == want
 
     def test_o(self):
-        assert o_index(vec([10, 8, 5, 4, 3])) == pytest.approx(math.sqrt(40))
-        assert o_index(vec([])) == 0
-        for k in (1, 4, 100):
-            assert o_index(vec([k])) == pytest.approx(math.sqrt(k))
+        cases = [(alone(10, 8, 5, 4, 3), math.sqrt(40)), (alone(), 0)]
+        cases += [(alone(k), math.sqrt(k)) for k in (1, 4, 100)]
+        for pairs, want in cases:
+            assert o_index(raw_vector(pairs)) == pytest.approx(want)
+            assert library(pairs)[Measure.O] == pytest.approx(want)
 
     def test_m(self):
-        assert m_index(vec([10, 8, 5, 4, 3])) == 6.5
-        assert m_index(vec([])) == 0
-        assert m_index(vec([8, 5, 3, 1, 1])) == 5  # h=3 here, median(8,5,3)
+        # h = 3 in the last case: median(8, 5, 3).
+        cases = ((alone(10, 8, 5, 4, 3), 6.5), (alone(), 0), (alone(8, 5, 3, 1, 1), 5))
+        for pairs, want in cases:
+            assert m_index(raw_vector(pairs)) == want
+            assert library(pairs)[Measure.M] == want
 
     def test_h_frac(self):
-        assert fractional_index(Measure.H, vec([8, 5, 3, 1, 1])) == 3
+        assert fractional_index(Measure.H, frac_vector(FIVE_PAPERS)) == 3
+        assert library(FIVE_PAPERS)[Measure.H_FRAC] == 3
 
     def test_o_frac(self):
-        assert fractional_index(Measure.O, vec([8, 5, 3, 1, 1])) == pytest.approx(
-            math.sqrt(24)
-        )
+        want = pytest.approx(math.sqrt(24))
+        assert fractional_index(Measure.O, frac_vector(FIVE_PAPERS)) == want
+        assert library(FIVE_PAPERS)[Measure.O_FRAC] == want
 
     def test_h_i(self):
-        v = vec([10, 8, 5, 4], [2, 1, 5, 4])
-        assert h_i_index(v) == pytest.approx(4 / 3)
-        assert h_i_index(vec([]))== 0
+        core = [(10, 2), (8, 1), (5, 5), (4, 4)]
+        for pairs, want in ((core, pytest.approx(4 / 3)), ([], 0)):
+            assert h_i_index(raw_vector(pairs)) == want
+            assert library(pairs)[Measure.H_I] == want
 
     def test_h_p(self):
-        v = vec([10, 8, 5, 4], [2, 1, 5, 4])
-        assert h_p_index(v) == pytest.approx(4 / math.sqrt(3))
-        assert h_p_index(vec([])) == 0
+        core = [(10, 2), (8, 1), (5, 5), (4, 4)]
+        for pairs, want in ((core, pytest.approx(4 / math.sqrt(3))), ([], 0)):
+            assert h_p_index(raw_vector(pairs)) == want
+            assert library(pairs)[Measure.H_P] == want
 
     def test_h_ap(self):
-        v = vec([9, 4], [4, 1])  # normalized: 4.5, 4 -> index 2
-        assert h_ap_index(v) == 2
-        assert h_ap_index(vec([])) == 0
+        # Normalized: 9/sqrt(4) = 4.5 and 4/sqrt(1) = 4, so the index is 2.
+        for pairs, want in (([(9, 4), (4, 1)], 2), ([], 0)):
+            assert h_ap_index(raw_vector(pairs)) == want
+            assert library(pairs)[Measure.H_AP] == want
 
     def test_h_m(self):
-        v = vec([10, 8, 5], [2, 1, 5])  # r_eff = 0.5, 1.5, 1.7
-        assert h_m_index(v) == pytest.approx(1.7)
-        assert h_m_index(vec([])) == 0
+        # r_eff = 0.5, 1.5, 1.7; a lone paper cited once covers rank 1 exactly.
+        cases = (
+            ([(10, 2), (8, 1), (5, 5)], pytest.approx(1.7)),
+            (alone(1), 1),
+            ([], 0),
+        )
+        for pairs, want in cases:
+            assert h_m_index(raw_vector(pairs)) == want
+            assert library(pairs)[Measure.H_M] == want
 
 
 class TestProperties:
@@ -165,6 +202,8 @@ class TestProperties:
 
 class TestOracleEquivalence:
     def test_random_vectors_match_brute_force(self):
+        # Each vector goes through the reference's per-vector functions and,
+        # as a one-author corpus, through compute_all.
         rng = random.Random(99)
         for _ in range(200):
             n = rng.randint(0, 50)
@@ -173,22 +212,43 @@ class TestOracleEquivalence:
             ]
             raw = raw_vector(pairs)
             frac = frac_vector(pairs)
+            reference = {
+                Measure.H: h_index(raw),
+                Measure.G: g_index(raw),
+                Measure.C: c_index(raw),
+                Measure.MU: mu_index(raw),
+                Measure.O: o_index(raw),
+                Measure.M: m_index(raw),
+                Measure.H_FRAC: fractional_index(Measure.H, frac),
+                Measure.G_FRAC: fractional_index(Measure.G, frac),
+                Measure.H_I: h_i_index(raw),
+                Measure.H_P: h_p_index(raw),
+                Measure.H_AP: h_ap_index(raw),
+                Measure.H_M: h_m_index(raw),
+            }
             entries = [c for c, _ in pairs]
-            assert h_index(raw) == oracles.h_oracle(entries)
-            assert g_index(raw) == oracles.g_oracle(entries)
-            assert c_index(raw) == pytest.approx(oracles.c_oracle(entries), rel=1e-12)
-            assert mu_index(raw) == pytest.approx(oracles.mu_oracle(entries), rel=1e-12)
-            assert o_index(raw) == pytest.approx(oracles.o_oracle(entries), rel=1e-12)
-            assert m_index(raw) == pytest.approx(oracles.m_oracle(entries), rel=1e-12)
             fe = oracles.frac_entries(pairs)
-            assert fractional_index(Measure.H, frac) == oracles.h_oracle(fe)
-            assert fractional_index(Measure.G, frac) == oracles.g_oracle(fe)
-            assert h_i_index(raw) == pytest.approx(oracles.h_i_oracle(pairs), rel=1e-9)
-            assert h_p_index(raw) == pytest.approx(oracles.h_p_oracle(pairs), rel=1e-9)
-            assert h_ap_index(raw) == oracles.h_ap_oracle(pairs)
-            assert h_m_index(raw) == pytest.approx(
-                oracles.h_m_oracle(pairs), rel=1e-9, abs=1e-12
-            )
+            for values in (reference, library(pairs)):
+                assert values[Measure.H] == oracles.h_oracle(entries)
+                assert values[Measure.G] == oracles.g_oracle(entries)
+                for measure, oracle in (
+                    (Measure.C, oracles.c_oracle),
+                    (Measure.MU, oracles.mu_oracle),
+                    (Measure.O, oracles.o_oracle),
+                    (Measure.M, oracles.m_oracle),
+                ):
+                    assert values[measure] == pytest.approx(oracle(entries), rel=1e-12)
+                assert values[Measure.H_FRAC] == oracles.h_oracle(fe)
+                assert values[Measure.G_FRAC] == oracles.g_oracle(fe)
+                for measure, oracle in (
+                    (Measure.H_I, oracles.h_i_oracle),
+                    (Measure.H_P, oracles.h_p_oracle),
+                ):
+                    assert values[measure] == pytest.approx(oracle(pairs), rel=1e-9)
+                assert values[Measure.H_AP] == oracles.h_ap_oracle(pairs)
+                assert values[Measure.H_M] == pytest.approx(
+                    oracles.h_m_oracle(pairs), rel=1e-9, abs=1e-12
+                )
 
 
 class TestComputeAll:

@@ -202,7 +202,8 @@ class TestLoadCorpus:
         assert report.rejected == 0
         assert loaded.authors["a1"].publications == pubs
         snap = snapshot_at(loaded, 1950)
-        assert [p.citations for p in snap.publications["a1"]] == [6, 5]
+        _, pub = snap.in_view(["a1"])
+        assert snap.citations[pub].tolist() == [6, 5]
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "authors.jsonl"
