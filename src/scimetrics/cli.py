@@ -160,6 +160,10 @@ def _apply_manifest(args: argparse.Namespace) -> None:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: a manifest must be a JSON object")
+    if config.get("command", "evaluate") != "evaluate":
+        raise ValueError(
+            f"{path}: not an evaluate manifest: command {json.dumps(config['command'])}"
+        )
     unknown = set(config) - {"command", *_MANIFEST_TYPES}
     if unknown:
         raise ValueError(f"{path}: unknown manifest keys {sorted(unknown)}")

@@ -4,6 +4,7 @@ correlation matrices."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,8 @@ class AwardScheme:
             raise ValueError(f"unknown award mode {self.mode!r}")
         if self.selective_threshold < 1:
             raise ValueError("selective_threshold must be >= 1")
-        if self.selective_factor <= 0:
-            raise ValueError("selective_factor must be > 0")
+        if not self.selective_factor > 0:  # NaN too
+            raise ValueError(f"selective_factor must be > 0, got {self.selective_factor}")
         if not 0 < self.subset_fraction <= 1:
             raise ValueError("subset_fraction must be in (0, 1]")
 
@@ -56,6 +57,8 @@ class AuthorFilter:
     def __post_init__(self):
         if self.mode not in FILTER_MODES:
             raise ValueError(f"unknown filter mode {self.mode!r}")
+        if math.isnan(self.max_avg_authors):
+            raise ValueError("max_avg_authors must be a number, got nan")
         if self.mode == "peak_in_window" and self.window[0] >= self.window[1]:
             raise ValueError("window start must precede end")
 
@@ -213,6 +216,8 @@ def series_grid(
     start, end = year_range
     if start > end:
         raise ValueError("empty year range")
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     for criterion in criteria:
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}")

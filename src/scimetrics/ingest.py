@@ -741,12 +741,10 @@ def load_corpus(
     return AuthorCorpus.from_columns(arrays, grants, catalog), report
 
 
-class _CiteKeys(dict):
-    """'"YYYY": ', the key of a `cites` entry, made once per citation year."""
-
-    def __missing__(self, year: int) -> str:
-        self[year] = key = f'"{year}": '
-        return key
+# Citation events one block of authors holds at most, unless a single author
+# holds more: enough to amortise the numpy calls, few enough that the block's
+# strings stay a small transient beside the corpus.
+_WRITE_EVENTS = 1 << 14
 
 
 def save_corpus(corpus: AuthorCorpus, out_dir: str | Path) -> dict[str, Path]:
@@ -759,38 +757,21 @@ def save_corpus(corpus: AuthorCorpus, out_dir: str | Path) -> dict[str, Path]:
         "catalog": out / "catalog.csv",
     }
     arrays = corpus.arrays
-    starts = arrays.starts.tolist()
-    years = arrays.effective_year.tolist()
-    counts = arrays.author_count.tolist()
-    cite_key = _CiteKeys().__getitem__
-    text = encode_basestring_ascii  # json.dumps's own escaper
+    ids = sorted(arrays.index)
+    ks = np.fromiter(map(arrays.index.__getitem__, ids), np.int64, len(ids))
+    author_events = arrays.event_start[arrays.starts]  # author k's: [k] to [k + 1]
+    events = author_events[ks + 1] - author_events[ks]
+    # A block is the authors whose first event falls in one _WRITE_EVENTS run.
+    cuts = np.flatnonzero(np.diff((np.cumsum(events) - events) // _WRITE_EVENTS)) + 1
+    edges = [0, *cuts.tolist(), len(ids)]
     with open(paths["authors"], "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"schema_version": SCHEMA_VERSION}) + "\n")
-        # Each line is the bytes of json.dumps(author, sort_keys=True): keys
-        # in string order, ", " and ": " separators.  A '"YYYY": ' cites key
-        # sorts as its year string does, since '"' sorts before "-" and digits.
-        for author_id in sorted(arrays.index):
-            k = arrays.index[author_id]
-            first, last = starts[k], starts[k + 1]
-            cites = (
-                ", ".join(sorted([cite_key(y) + str(c) for y, c in zip(ys, cs)]))
-                for ys, cs in arrays.citations(first, last)
-            )
-            pubs = ", ".join(
-                f'{{"authors": {n}, "cites": {{{c}}}, '
-                f'"pub_id": {text(p)}, "year": {y}}}'
-                for p, y, n, c in zip(
-                    arrays.pub_id[first:last], years[first:last], counts[first:last], cites
-                )
-            )
-            fh.write(
-                f'{{"author_id": {text(author_id)}, "field": {text(arrays.fields[k])}, '
-                f'"name": {text(arrays.names[k])}, "publications": [{pubs}]}}\n'
-            )
+        for lo, hi in zip(edges, edges[1:]):
+            fh.write(_author_lines(arrays, ids[lo:hi], ks[lo:hi]))
     with open(paths["awards"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["author_id", "award_id", "year"])
-        for author_id in sorted(arrays.index):
+        for author_id in ids:
             for grant in corpus.grants.get(author_id, ()):
                 writer.writerow([author_id, grant.award_id, grant.year_conferred])
     with open(paths["catalog"], "w", newline="", encoding="utf-8") as fh:
@@ -800,6 +781,64 @@ def save_corpus(corpus: AuthorCorpus, out_dir: str | Path) -> dict[str, Path]:
             entry = corpus.catalog[award_id]
             writer.writerow([award_id, entry.name, entry.total_laureates])
     return paths
+
+
+def _ranges(begin: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The indices begin[i]:begin[i] + length[i], for each i in turn, as one
+    array."""
+    offset = np.cumsum(length) - length
+    return np.repeat(begin - offset, length) + np.arange(length.sum())
+
+
+def _joined(items: list[str], lengths: np.ndarray) -> list[str]:
+    """Each run of lengths[i] consecutive items, in turn, joined by ", "."""
+    bounds = [0, *accumulate(lengths.tolist())]
+    return [", ".join(items[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _author_lines(arrays: CorpusArrays, ids: list[str], ks: np.ndarray) -> str:
+    """The authors.jsonl lines of authors ids, at corpus positions ks.
+
+    Each line is the bytes of json.dumps(author, sort_keys=True): keys in
+    string order, ", " and ": " separators.  A '"YYYY": ' cites key sorts as
+    its year string does, since '"' sorts before "-" and digits.
+    """
+    starts, event_start = arrays.starts, arrays.event_start
+    per_author = starts[ks + 1] - starts[ks]
+    pubs = _ranges(starts[ks], per_author)
+    per_pub = event_start[pubs + 1] - event_start[pubs]
+    events = _ranges(event_start[pubs], per_pub)
+    # each publication's events in the string order of their years
+    years, year = np.unique(arrays.event_year[events], return_inverse=True)
+    keys = list(map(str, years.tolist()))
+    rank = np.empty(len(keys), np.int64)
+    rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    pub = np.repeat(np.arange(len(pubs)), per_pub)
+    order = np.argsort(pub * len(keys) + rank[year], kind="stable")
+    # each distinct (year, count) pair formatted once; counts are >= 0
+    pairs, which = np.unique(
+        (year[order].astype(np.int64) << 32) + arrays.event_count[events[order]],
+        return_inverse=True,
+    )
+    cite = [
+        f'"{keys[y]}": {c}'
+        for y, c in zip(*(column.tolist() for column in np.divmod(pairs, 1 << 32)))
+    ]
+    text = encode_basestring_ascii  # json.dumps's own escaper
+    pub_text = [
+        f'{{"authors": {n}, "cites": {{{c}}}, "pub_id": {text(p)}, "year": {y}}}'
+        for p, y, n, c in zip(
+            map(arrays.pub_id.__getitem__, pubs.tolist()),
+            arrays.effective_year[pubs].tolist(),
+            arrays.author_count[pubs].tolist(),
+            _joined(list(map(cite.__getitem__, which.tolist())), per_pub),
+        )
+    ]
+    return "".join(
+        f'{{"author_id": {text(a)}, "field": {text(arrays.fields[k])}, '
+        f'"name": {text(arrays.names[k])}, "publications": [{p}]}}\n'
+        for a, k, p in zip(ids, ks.tolist(), _joined(pub_text, per_author))
+    )
 
 
 # --- profile matching -------------------------------------------------------

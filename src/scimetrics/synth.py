@@ -197,8 +197,8 @@ def _confer_awards(
     latent = Measure(config.latent_reputation)
     for year in range(config.award_start_year, config.end_year + 1):
         column = measure_columns(snapshot_at(corpus, year), ids, [latent])[latent]
-        scores = dict(zip(ids, column))
-        ranked = sorted(ids, key=lambda a: (-scores[a], a))
+        # highest score first, ties by id: ids are sorted, so by position
+        ranked = np.lexsort((np.arange(len(ids)), -np.asarray(column)))
         award_id = f"synth-{year}"
         n_laureates = min(config.awards_per_year, len(ids))
         catalog[award_id] = AwardCatalogEntry(
@@ -206,8 +206,8 @@ def _confer_awards(
             name=f"Synthetic distinction {year}",
             total_laureates=n_laureates,
         )
-        for aid in ranked[:n_laureates]:
-            grants.setdefault(aid, []).append(
+        for position in ranked[:n_laureates].tolist():
+            grants.setdefault(ids[position], []).append(
                 AwardGrant(award_id=award_id, year_conferred=year)
             )
     return catalog, grants

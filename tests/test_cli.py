@@ -210,6 +210,47 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err == f"error: {manifest}: a manifest must be a JSON object\n"
 
+    def test_manifest_of_another_command_rejected(self, corpus_dir, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "roc", "corpus": str(corpus_dir), "years": "2005:2006",
+        }))
+        out = tmp_path / "rerun"
+        assert main(["evaluate", "--manifest", str(manifest),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f'error: {manifest}: not an evaluate manifest: command "roc"\n'
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, key, value, message",
+        [
+            ("--horizon", "horizon", -3, "horizon must be >= 0, got -3"),
+            ("--max-avg-authors", "max_avg_authors", float("nan"),
+             "max_avg_authors must be a number, got nan"),
+            ("--award-factor", "award_factor", float("nan"),
+             "selective_factor must be > 0, got nan"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "manifest"])
+    def test_out_of_range_setting_rejected(
+        self, corpus_dir, tmp_path, capsys, source, flag, key, value, message
+    ):
+        out = tmp_path / "eval"
+        if source == "flag":
+            argv = ["evaluate", "--corpus", str(corpus_dir), "--years", "2005:2006",
+                    flag, str(value)]
+        else:
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps({
+                "command": "evaluate", "corpus": str(corpus_dir),
+                "years": "2005:2006", key: value,
+            }))
+            argv = ["evaluate", "--manifest", str(manifest)]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_each_year_snapshotted_once(self, corpus_dir, tmp_path, monkeypatch):
         years = []
 

@@ -1,12 +1,17 @@
 """save_corpus's authors.jsonl against the json.dumps reference writer:
-the same bytes, whatever the strings, citation years and empty parts."""
+the same bytes, whatever the strings, citation years, empty parts and block
+edges, from a write whose peak memory is one block's."""
 
+import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import reference_writer
+from scimetrics import ingest
 from scimetrics.corpus import AuthorCorpus, AuthorProfile, PublicationRecord
 from scimetrics.ingest import load_corpus, save_corpus
 from scimetrics.synth import SynthConfig, generate
@@ -53,6 +58,12 @@ def test_citation_years_whose_string_order_differs():
     assert_same_bytes(corpus_of(("a1", "n", "f", pubs)))
 
 
+def test_extreme_citation_years_and_counts():
+    cites = {-(2**31): 0, -5: 2**31 - 1, 999: 0, 1000: 2**31 - 1, 2**31 - 1: 0}
+    pubs = [PublicationRecord("p1", -(2**31), 2**31 - 1, cites)]
+    assert_same_bytes(corpus_of(("a1", "n", "f", pubs)))
+
+
 def test_empty_parts():
     uncited = [PublicationRecord("p1", 2000, 1, {}), PublicationRecord("p2", 2001, 2, {})]
     assert_same_bytes(
@@ -73,6 +84,46 @@ def test_synthetic_and_loaded_corpora(tmp_path):
     )
     loaded, _ = load_corpus(path)
     assert_same_bytes(loaded)
+
+
+def test_blocks_in_id_order_from_shuffled_columns():
+    generated = generate(SynthConfig(rng_seed=3, n_authors=40, team_size_regime="hyper"))
+    ids = sorted(generated.authors)
+    random.Random(0).shuffle(ids)
+    corpus = AuthorCorpus({a: generated.authors[a] for a in ids}, generated.catalog)
+    arrays = corpus.arrays
+    assert list(arrays.index) != sorted(arrays.index)
+    # some author's events run across a block edge, and there are several edges
+    events = [
+        arrays.event_start[arrays.starts[k + 1]] - arrays.event_start[arrays.starts[k]]
+        for k in map(arrays.index.__getitem__, sorted(arrays.index))
+    ]
+    ends = np.cumsum(events)
+    begins = ends - events
+    assert ends[-1] > 2 * ingest._WRITE_EVENTS
+    assert np.any(begins // ingest._WRITE_EVENTS < (ends - 1) // ingest._WRITE_EVENTS)
+    assert_same_bytes(corpus)
+
+
+def uniform_corpus(n_blocks):
+    """Authors of 64 papers with 16 citation events each, n_blocks blocks' worth."""
+    cites = {2000 + y: y + 1 for y in range(16)}
+    pubs = [PublicationRecord(f"p{j}", 2000, 2, cites) for j in range(64)]
+    n_authors = n_blocks * ingest._WRITE_EVENTS // (64 * 16)
+    return corpus_of(*[(f"a{i:05d}", "n", "f", pubs) for i in range(n_authors)])
+
+
+def test_write_peak_does_not_grow_with_the_corpus(tmp_path):
+    peaks = []
+    for n_blocks in (1, 8):
+        corpus = uniform_corpus(n_blocks)
+        tracemalloc.start()
+        try:
+            save_corpus(corpus, tmp_path / str(n_blocks))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 @st.composite
