@@ -18,6 +18,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluation, ingest, rankcorr, synth
 from .corpus import AuthorCorpus, snapshot_at
 from .errors import DegenerateInputError, ParseError
@@ -30,6 +32,16 @@ ALL_MEASURES = [m.value for m in Measure]
 def _fmt(value: float) -> str:
     """Statistics are serialized with 6 significant digits, period decimal."""
     return f"{value:.6g}"
+
+
+def _fmt_all(values) -> np.ndarray:
+    """`_fmt` of each value, as an object array of the values' shape.  Each
+    distinct float64 bit pattern is formatted once, so -0.0 and 0.0 keep
+    their own strings."""
+    values = np.asarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.ravel().view(np.uint64), return_inverse=True)
+    text = np.array([_fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].reshape(values.shape)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -99,21 +111,28 @@ def cmd_indices(args: argparse.Namespace) -> int:
     measures = _parse_measures(args.measures)
     ids = sorted(corpus.arrays.index)
     columns = measure_columns(snapshot_at(corpus, args.year), ids, measures)
+    cells = _fmt_all([columns[m] for m in measures]).T.tolist()
     rows = [["author_id"] + [m.value for m in measures]]
-    for i, author_id in enumerate(ids):
-        rows.append([author_id] + [_fmt(columns[m][i]) for m in measures])
+    rows += [[author_id, *row] for author_id, row in zip(ids, cells)]
     _atomic_write(Path(args.out), _csv_text(rows))
     return 0
 
 
+# The award flags' keys, by the AwardScheme field each sets.
+_SCHEME_FLAGS = {
+    "selective_threshold": "award_threshold",
+    "selective_factor": "award_factor",
+    "subset_fraction": "award_subset_frac",
+}
+
+
 def _scheme_from_args(args: argparse.Namespace) -> AwardScheme:
-    return AwardScheme(
-        mode=args.award_scheme,
-        selective_threshold=args.award_threshold,
-        selective_factor=args.award_factor,
-        subset_fraction=args.award_subset_frac,
-        rng_seed=args.seed,
-    )
+    """The award scheme of the flags; a value out of its field's range is an
+    error naming the flag's key, which is also its manifest key."""
+    values = {field: getattr(args, key) for field, key in _SCHEME_FLAGS.items()}
+    for field, key in _SCHEME_FLAGS.items():
+        evaluation.check_range(key, field, values[field])
+    return AwardScheme(mode=args.award_scheme, rng_seed=args.seed, **values)
 
 
 def _filter_from_args(args: argparse.Namespace) -> AuthorFilter:
@@ -183,13 +202,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.manifest:
         _apply_manifest(args)
     config = _evaluate_config(args)
+    scheme, author_filter = _scheme_from_args(args), _filter_from_args(args)
     corpus, _ = _load_corpus(args.corpus)
     measures = _parse_measures(args.measures)
     criteria = [c.strip() for c in args.criteria.split(",")]
     grid = evaluation.series_grid(
         corpus, measures, criteria, _parse_year_range(args.years),
-        horizon=args.horizon, scheme=_scheme_from_args(args),
-        author_filter=_filter_from_args(args),
+        horizon=args.horizon, scheme=scheme, author_filter=author_filter,
     )
     out_dir = Path(args.out)
     outputs: dict[Path, str] = {}
@@ -207,26 +226,32 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
+    scheme = _scheme_from_args(args)
     corpus, _ = _load_corpus(args.corpus)
     measures = _parse_measures(args.measures)
     ids = sorted(corpus.arrays.index)
-    scheme = _scheme_from_args(args)
     scores = evaluation.award_scores(corpus, args.year, scheme)
-    awards = [scores[a] for a in ids]
+    awards = np.array([scores[a] for a in ids], dtype=float)
     out_dir = Path(args.out)
     summary = [["measure", "auc", "status"]]
     outputs: dict[Path, str] = {}
     columns = measure_columns(snapshot_at(corpus, args.year), ids, measures)
+    curves = {}
     for measure in measures:
         try:
-            curve = rankcorr.roc_curve(columns[measure], awards)
+            curves[measure] = curve = rankcorr.roc_curve(columns[measure], awards)
         except DegenerateInputError:
             summary.append([measure.value, "", "degenerate"])
-            continue
-        rows = [["fpr", "tpr"]]
-        rows += [[_fmt(x), _fmt(y)] for x, y in curve.points]
-        outputs[out_dir / f"roc_{measure.value}.csv"] = _csv_text(rows)
-        summary.append([measure.value, _fmt(curve.auc), "ok"])
+        else:
+            summary.append([measure.value, _fmt(curve.auc), "ok"])
+    # Every curve visits the same authors, so all have one length.  The
+    # numbers need no CSV quoting, so the lines are joined here.
+    points = _fmt_all([(curve.fpr, curve.tpr) for curve in curves.values()])
+    for measure, (fpr, tpr) in zip(curves, points):
+        lines = map(",".join, zip(fpr.tolist(), tpr.tolist()))
+        outputs[out_dir / f"roc_{measure.value}.csv"] = (
+            "fpr,tpr\n" + "\n".join(lines) + "\n"
+        )
     outputs[out_dir / "auc_summary.csv"] = _csv_text(summary)
     for path, text in outputs.items():
         _atomic_write(path, text)

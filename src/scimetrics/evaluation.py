@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,17 +17,48 @@ from .indices import Measure, measure_columns
 
 AWARD_MODES = ("equal_weight", "selective_weight", "binary")
 FILTER_MODES = ("all", "no_hyperauthors", "bottom_half_citations", "peak_in_window")
-# Each criterion's statistic over aligned (measure values, award scores).
+
+
+class _Pair:
+    """A measure column and the award column it is judged against, each with
+    its `rankcorr.dense_ranks`.  The pair counts are built on first use and
+    shared by tau_b, somers_d and gamma."""
+
+    def __init__(self, measure_values, awards: np.ndarray, award_ranks: np.ndarray):
+        self.values = np.asarray(measure_values, dtype=float)
+        self.ranks = rankcorr.dense_ranks(self.values)
+        self.awards, self.award_ranks = awards, award_ranks
+
+    @cached_property
+    def counts(self) -> rankcorr.PairCounts:
+        return rankcorr.pair_counts_of_ranks(self.ranks, self.award_ranks)
+
+
+# Each criterion's statistic of a _Pair.
 _STATISTICS = {
-    "tau_b": rankcorr.kendall_tau_b,
-    "auc": lambda measure_values, award_values: rankcorr.roc_curve(
-        measure_values, award_values
-    ).auc,
-    "somers_d": rankcorr.somers_d,
-    "gamma": rankcorr.goodman_gamma,
-    "rho": rankcorr.spearman_rho,
+    "tau_b": lambda pair: pair.counts.tau_b(),
+    "auc": lambda pair: rankcorr.roc_curve(pair.values, pair.awards).auc,
+    "somers_d": lambda pair: pair.counts.somers_d(),
+    "gamma": lambda pair: pair.counts.gamma(),
+    "rho": lambda pair: rankcorr.spearman_rho_of_ranks(pair.ranks, pair.award_ranks),
 }
 CRITERIA = tuple(_STATISTICS)
+
+
+# The range of each numeric AwardScheme field; NaN lies in none of them.
+SCHEME_RANGES = {
+    "selective_threshold": (">= 1", lambda v: v >= 1),
+    "selective_factor": ("> 0", lambda v: v > 0),
+    "subset_fraction": ("in (0, 1]", lambda v: 0 < v <= 1),
+}
+
+
+def check_range(name: str, field: str, value) -> None:
+    """Raise a ValueError naming `name` unless `value` lies in the range of
+    the AwardScheme field `field`."""
+    requirement, holds = SCHEME_RANGES[field]
+    if not holds(value):
+        raise ValueError(f"{name} must be {requirement}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -40,12 +72,8 @@ class AwardScheme:
     def __post_init__(self):
         if self.mode not in AWARD_MODES:
             raise ValueError(f"unknown award mode {self.mode!r}")
-        if self.selective_threshold < 1:
-            raise ValueError("selective_threshold must be >= 1")
-        if not self.selective_factor > 0:  # NaN too
-            raise ValueError(f"selective_factor must be > 0, got {self.selective_factor}")
-        if not 0 < self.subset_fraction <= 1:
-            raise ValueError("subset_fraction must be in (0, 1]")
+        for field in SCHEME_RANGES:
+            check_range(field, field, getattr(self, field))
 
 
 @dataclass(frozen=True)
@@ -163,7 +191,8 @@ def apply_criterion(criterion: str, measure_values, award_values) -> float:
         statistic = _STATISTICS[criterion]
     except KeyError:
         raise ValueError(f"unknown criterion {criterion!r}") from None
-    return statistic(measure_values, award_values)
+    awards = np.asarray(award_values, dtype=float)
+    return statistic(_Pair(measure_values, awards, rankcorr.dense_ranks(awards)))
 
 
 def effectiveness(
@@ -208,8 +237,9 @@ def series_grid(
 ) -> dict[tuple[Measure, str], EvaluationSeries]:
     """Per-year evaluation of every (measure, criterion) over [start, end].
 
-    Each year's snapshot, filter, award scores (by year + horizon) and
-    measure columns are built once and shared by all cells.  This is the one
+    Each year's snapshot, filter, award scores (by year + horizon), measure
+    columns and their ranks are built once and shared by all cells, and so
+    are the pair counts of each (measure, awards) pair.  This is the one
     place a year becomes criterion values: a degenerate cell is a gap, and
     its gap reason says why.
     """
@@ -235,17 +265,20 @@ def series_grid(
             ids, gap = [], str(exc)
         else:
             scores = award_scores(corpus, year + horizon, scheme)
-            awards = [scores[a] for a in ids]
+            awards = np.array([scores[a] for a in ids], dtype=float)
             columns = measure_columns(snapshot, ids, measures)
             gap = None
             if len(ids) < 2:
                 gap = f"fewer than 2 authors at year {year} after filtering"
         counts.append(len(ids))
+        if gap is None:
+            award_ranks = rankcorr.dense_ranks(awards)
+            pairs = {m: _Pair(columns[m], awards, award_ranks) for m in measures}
         for (measure, criterion), cell in values.items():
             value, reason = None, gap
             if gap is None:
                 try:
-                    value = apply_criterion(criterion, columns[measure], awards)
+                    value = _STATISTICS[criterion](pairs[measure])
                 except DegenerateInputError as exc:
                     reason = (
                         f"{criterion} degenerate at year {year} "
@@ -286,13 +319,13 @@ def measure_correlation_matrix(
     if len(ids) < 2:
         raise DegenerateInputError("need at least 2 authors")
     columns = measure_columns(snapshot_at(corpus, year), ids, measures)
+    ranks = [rankcorr.dense_ranks(columns[m]) for m in measures]
     k = len(measures)
     matrix = np.full((k, k), np.nan)
-    for i, mi in enumerate(measures):
+    for i in range(k):
         for j in range(i, k):
-            mj = measures[j]
             try:
-                value = rankcorr.kendall_tau_b(columns[mi], columns[mj])
+                value = rankcorr.pair_counts_of_ranks(ranks[i], ranks[j]).tau_b()
             except DegenerateInputError:
                 continue
             matrix[i, j] = value

@@ -184,8 +184,8 @@ def load_authors(path: str | Path) -> tuple[CorpusArrays, CleaningReport]:
     arrays, report, digest = parse_authors(path)
     try:
         atomic_write(cache, lambda fh: _write_cache(fh, arrays, report, digest))
-    except OSError:
-        pass  # a read-only directory: the next load parses again
+    except (OSError, _Uncacheable):
+        pass  # a read-only directory or a NUL: the next load parses again
     return arrays, report
 
 
@@ -266,8 +266,9 @@ def _sha256(path: str | Path) -> bytes:
 # Every member of a column cache, in the order a hit reads them, each a
 # one-dimensional array of this dtype.  The integer columns of CorpusArrays
 # are kept as they are.  The author ids, names and fields, the pub_ids and
-# the reject log's triples are one UTF-8 `text`, cut by `lengths`, each
-# string's length in code points.
+# the reject log's triples are one UTF-8 `text`, each string ended by a NUL,
+# so that one split cuts them; `lengths` holds each string's length in code
+# points, which the pieces must match.
 _CACHE_DTYPES = {
     "code": np.uint8,
     "digest": np.uint8,
@@ -286,6 +287,11 @@ _INT_COLUMNS = (
 )
 _CACHE_FAULTS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
 _STRINGS_AT_ONCE = 1 << 14
+
+
+class _Uncacheable(Exception):
+    """A string holds NUL, which ends each string of a column cache's text,
+    so the columns are not cached."""
 
 
 def _write_cache(
@@ -309,7 +315,10 @@ def _write_cache(
 
     def utf8(batch: list[str]) -> bytes:
         # surrogatepass, since a JSON "\ud800" escape loads as a lone surrogate
-        return "".join(batch).encode("utf-8", "surrogatepass")
+        encoded = "\0".join([*batch, ""]).encode("utf-8", "surrogatepass")
+        if encoded.count(0) != len(batch):
+            raise _Uncacheable
+        return encoded
 
     n_strings = 3 * len(arrays.names) + len(arrays.pub_id) + 3 * len(report.reject_log)
     text = list(map(utf8, batches()))
@@ -414,12 +423,11 @@ def _cut(text: np.ndarray, lengths: np.ndarray, counts: list[int]) -> list[list[
     rest = len(lengths) - sum(counts)
     if min(counts, default=0) < 0 or rest < 0 or rest % 3 or lengths.min(initial=0) < 0:
         raise ValueError("column cache strings do not fit its columns")
-    decoded = str(text.data, "utf-8", "surrogatepass")
-    if lengths.sum() != len(decoded):
+    pieces = str(text.data, "utf-8", "surrogatepass").split("\0")
+    sizes = np.fromiter(map(len, pieces), np.int64, len(pieces))
+    if sizes[-1] != 0 or not np.array_equal(sizes[:-1], lengths):
         raise ValueError("column cache text differs from its lengths")
-    sizes = lengths.tolist()
-    cuts = zip(accumulate(sizes, initial=0), accumulate(sizes))
-    strings = iter([decoded[start:end] for start, end in cuts])
+    strings = iter(pieces)
     return [list(islice(strings, n)) for n in [*counts, rest]]
 
 

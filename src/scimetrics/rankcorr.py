@@ -3,7 +3,10 @@
 All statistics are defined through the classification of every index pair:
 concordant (C), discordant (D), tied in the first sequence only (T_A),
 tied in the second only (T_B), tied in both.  The counts come from sorting
-and group sizes (Knight 1966), in O(n log n) time and O(n) memory.
+and group sizes (Knight 1966), in O(n log n) time and O(n) memory.  Each
+statistic has one core over `dense_ranks` arrays, so a caller that pairs one
+column with many ranks it once; the functions over value sequences rank
+their inputs and call that core.
 """
 
 from __future__ import annotations
@@ -30,11 +33,43 @@ class PairCounts:
     def total_pairs(self) -> int:
         return self.n * (self.n - 1) // 2
 
+    def tau_b(self) -> float:
+        """(C - D) / sqrt((C + D + T_A) * (C + D + T_B))."""
+        untied = self.concordant + self.discordant
+        denom_a = untied + self.ties_a_only
+        denom_b = untied + self.ties_b_only
+        if denom_a == 0 or denom_b == 0:
+            raise DegenerateInputError("tau_b undefined: a sequence is fully tied")
+        return (self.concordant - self.discordant) / math.sqrt(denom_a * denom_b)
 
-@dataclass(frozen=True)
+    def tau_a(self) -> float:
+        """(C - D) / (n(n-1)/2); no tie correction."""
+        return (self.concordant - self.discordant) / self.total_pairs
+
+    def somers_d(self) -> float:
+        """(C - D) over the pairs untied in the second (award) sequence."""
+        untied_in_awards = self.concordant + self.discordant + self.ties_a_only
+        if untied_in_awards == 0:
+            raise DegenerateInputError("somers_d undefined: award ranking fully tied")
+        return (self.concordant - self.discordant) / untied_in_awards
+
+    def gamma(self) -> float:
+        """(C - D) / (C + D)."""
+        cd_sum = self.concordant + self.discordant
+        if cd_sum == 0:
+            raise DegenerateInputError("gamma undefined: no untied pairs")
+        return (self.concordant - self.discordant) / cd_sum
+
+
+@dataclass(frozen=True, eq=False)
 class RocCurve:
-    points: tuple[tuple[float, float], ...]
+    fpr: np.ndarray  # starts at 0.0, one entry per author visited
+    tpr: np.ndarray
     auc: float
+
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.fpr.tolist(), self.tpr.tolist()))
 
 
 def _finite(values: Sequence[float]) -> np.ndarray:
@@ -44,6 +79,20 @@ def _finite(values: Sequence[float]) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("values must be finite (no NaN or infinity)")
     return x
+
+
+def dense_ranks(values: Sequence[float]) -> np.ndarray:
+    """0-based dense ranks: the i-th smallest distinct value ranks i, so tied
+    values share a rank.  Every statistic below reads ranks, not values, so
+    a column ranked once serves every pair it is in."""
+    return np.unique(_finite(values), return_inverse=True)[1]
+
+
+def _aligned(a: Sequence, b: Sequence) -> None:
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    if len(a) < 2:
+        raise ValueError("need at least 2 elements")
 
 
 def _tied_pairs(group_sizes: np.ndarray) -> int:
@@ -78,20 +127,15 @@ def _inversions(r: np.ndarray) -> int:
     return total
 
 
-def pair_counts(a: Sequence[float], b: Sequence[float]) -> PairCounts:
-    """Classify all n(n-1)/2 index pairs of two aligned value sequences.
+def pair_counts_of_ranks(rx: np.ndarray, ry: np.ndarray) -> PairCounts:
+    """Classify all n(n-1)/2 index pairs of two aligned `dense_ranks` arrays.
 
     A pair tied in both sequences counts toward ties_both only.  Discordant
-    pairs are the inversions of b's ranks in (a, b)-sorted order; pairs tied
-    in a are sorted by b there, so they add none.
+    pairs are the inversions of ry in (rx, ry)-sorted order; pairs tied in
+    rx are sorted by ry there, so they add none.
     """
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    n = len(a)
-    if n < 2:
-        raise ValueError("need at least 2 elements")
-    rx = np.unique(_finite(a), return_inverse=True)[1]
-    ry = np.unique(_finite(b), return_inverse=True)[1]
+    _aligned(rx, ry)
+    n = len(rx)
     order = np.lexsort((ry, rx))
     joint = rx[order] * n + ry[order]
     tied_a = _tied_pairs(np.bincount(rx))  # ties in both included
@@ -104,21 +148,19 @@ def pair_counts(a: Sequence[float], b: Sequence[float]) -> PairCounts:
     )
 
 
+def pair_counts(a: Sequence[float], b: Sequence[float]) -> PairCounts:
+    """`pair_counts_of_ranks` of two aligned value sequences."""
+    return pair_counts_of_ranks(dense_ranks(a), dense_ranks(b))
+
+
 def kendall_tau_b(a: Sequence[float], b: Sequence[float]) -> float:
-    """(C - D) / sqrt((C + D + T_A) * (C + D + T_B))."""
-    pc = pair_counts(a, b)
-    cd = pc.concordant - pc.discordant
-    denom_a = pc.concordant + pc.discordant + pc.ties_a_only
-    denom_b = pc.concordant + pc.discordant + pc.ties_b_only
-    if denom_a == 0 or denom_b == 0:
-        raise DegenerateInputError("tau_b undefined: a sequence is fully tied")
-    return cd / math.sqrt(denom_a * denom_b)
+    """`PairCounts.tau_b` of two aligned value sequences."""
+    return pair_counts(a, b).tau_b()
 
 
 def kendall_tau_a(a: Sequence[float], b: Sequence[float]) -> float:
-    """(C - D) / (n(n-1)/2); no tie correction."""
-    pc = pair_counts(a, b)
-    return (pc.concordant - pc.discordant) / pc.total_pairs
+    """`PairCounts.tau_a` of two aligned value sequences."""
+    return pair_counts(a, b).tau_a()
 
 
 def somers_d(measure: Sequence[float], awards: Sequence[float]) -> float:
@@ -128,44 +170,42 @@ def somers_d(measure: Sequence[float], awards: Sequence[float]) -> float:
     The ratio reduces to (C - D) over the pairs untied in the award ranking,
     which is computed directly to keep the result exact.
     """
-    pc = pair_counts(measure, awards)
-    untied_in_awards = pc.concordant + pc.discordant + pc.ties_a_only
-    if untied_in_awards == 0:
-        raise DegenerateInputError("somers_d undefined: award ranking fully tied")
-    return (pc.concordant - pc.discordant) / untied_in_awards
+    return pair_counts(measure, awards).somers_d()
 
 
 def goodman_gamma(a: Sequence[float], b: Sequence[float]) -> float:
-    """(C - D) / (C + D)."""
-    pc = pair_counts(a, b)
-    cd_sum = pc.concordant + pc.discordant
-    if cd_sum == 0:
-        raise DegenerateInputError("gamma undefined: no untied pairs")
-    return (pc.concordant - pc.discordant) / cd_sum
+    """`PairCounts.gamma` of two aligned value sequences."""
+    return pair_counts(a, b).gamma()
+
+
+def _average_of_dense(ranks: np.ndarray) -> np.ndarray:
+    """`average_ranks` of the values whose `dense_ranks` are `ranks`."""
+    sizes = np.bincount(ranks)
+    ends = np.cumsum(sizes)
+    return (0.5 * (ends + (ends - sizes) + 1))[ranks]
 
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
     """1-based ranks, tied values sharing the mean of their positions."""
-    _, inverse, sizes = np.unique(
-        _finite(values), return_inverse=True, return_counts=True
-    )
-    ends = np.cumsum(sizes)
-    return (0.5 * (ends + (ends - sizes) + 1))[inverse]
+    return _average_of_dense(dense_ranks(values))
 
 
-def spearman_rho(a: Sequence[float], b: Sequence[float]) -> float:
-    """Pearson correlation of tie-averaged (fractional) ranks."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    if len(a) < 2:
-        raise ValueError("need at least 2 elements")
-    ra = average_ranks(a)
-    rb = average_ranks(b)
-    if np.all(ra == ra[0]) or np.all(rb == rb[0]):
+def spearman_rho_of_ranks(rx: np.ndarray, ry: np.ndarray) -> float:
+    """Pearson correlation of the tie-averaged (fractional) ranks of two
+    aligned `dense_ranks` arrays."""
+    _aligned(rx, ry)
+    if not rx.any() or not ry.any():
         raise DegenerateInputError("rho undefined: constant sequence")
+    ra = _average_of_dense(rx)
+    rb = _average_of_dense(ry)
     ra = ra - ra.mean()
     rb = rb - rb.mean()
     return float(np.dot(ra, rb) / math.sqrt(np.dot(ra, ra) * np.dot(rb, rb)))
+
+
+def spearman_rho(a: Sequence[float], b: Sequence[float]) -> float:
+    """`spearman_rho_of_ranks` of two aligned value sequences."""
+    return spearman_rho_of_ranks(dense_ranks(a), dense_ranks(b))
 
 
 def roc_curve(
@@ -195,7 +235,4 @@ def roc_curve(
     fpr = np.concatenate(([0.0], np.cumsum(visited == 0) / total_negatives))
     tpr = np.concatenate(([0.0], np.cumsum(visited) / total_awards))
     areas = (fpr[1:] - fpr[:-1]) * (tpr[:-1] + tpr[1:]) / 2.0
-    return RocCurve(
-        points=tuple(zip(fpr.tolist(), tpr.tolist())),
-        auc=float(np.cumsum(areas)[-1]),
-    )
+    return RocCurve(fpr, tpr, float(np.cumsum(areas)[-1]))

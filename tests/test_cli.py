@@ -1,13 +1,16 @@
 import csv
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import reference_indices
-from scimetrics import effectiveness, evaluation, snapshot_at
+from scimetrics import effectiveness, evaluation, rankcorr, snapshot_at
 from scimetrics.cli import main
 from scimetrics.indices import Measure
 from scimetrics.ingest import load_corpus, save_corpus
@@ -20,6 +23,18 @@ def corpus_dir(tmp_path_factory):
     corpus = generate(SynthConfig(rng_seed=77, n_authors=25))
     save_corpus(corpus, out)
     return out
+
+
+# Each award flag and its key, a value out of its range, and the error that
+# names the key.
+AWARD_FLAG_ERRORS = [
+    ("--award-factor", "award_factor", float("nan"),
+     "award_factor must be > 0, got nan"),
+    ("--award-threshold", "award_threshold", 0,
+     "award_threshold must be >= 1, got 0"),
+    ("--award-subset-frac", "award_subset_frac", 0.0,
+     "award_subset_frac must be in (0, 1], got 0.0"),
+]
 
 
 def read_csv(path):
@@ -228,8 +243,7 @@ class TestEvaluate:
             ("--horizon", "horizon", -3, "horizon must be >= 0, got -3"),
             ("--max-avg-authors", "max_avg_authors", float("nan"),
              "max_avg_authors must be a number, got nan"),
-            ("--award-factor", "award_factor", float("nan"),
-             "selective_factor must be > 0, got nan"),
+            *AWARD_FLAG_ERRORS,
         ],
     )
     @pytest.mark.parametrize("source", ["flag", "manifest"])
@@ -315,6 +329,45 @@ class TestRoc:
         ]
         summary = read_csv(out / "auc_summary.csv")
         assert summary[1] == ["h", "0.666667", "ok"]
+
+    def test_curve_text_equals_csv_writer(self, corpus_dir, tmp_path, monkeypatch):
+        # Each distinct value is formatted once for all curves; the lines
+        # must still be those csv.writer writes from one format per value.
+        special = [0.0, -0.0, 1e-7, 123456789.0, 2 / 3, 0.1 + 0.2, 1.0]
+        rng = random.Random(11)
+        curves = [
+            rankcorr.RocCurve(
+                np.array(rng.choices(special, k=40)),
+                np.array(rng.choices(special, k=40)),
+                0.5,
+            )
+            for _ in range(3)
+        ]
+        given = iter(curves)
+        monkeypatch.setattr(rankcorr, "roc_curve", lambda *_: next(given))
+        out = tmp_path / "roc"
+        assert main(["roc", "--corpus", str(corpus_dir), "--year", "2010",
+                     "--measures", "h,h-frac,c", "--out", str(out)]) == 0
+        for measure, curve in zip(["h", "h-frac", "c"], curves):
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(
+                [["fpr", "tpr"]]
+                + [[f"{x:.6g}", f"{y:.6g}"] for x, y in curve.points]
+            )
+            text = (out / f"roc_{measure}.csv").read_text()
+            assert text == buf.getvalue()
+            cells = set(text.replace("\n", ",").split(","))
+            assert {"0", "-0", "1e-07", "1.23457e+08"} <= cells
+
+    @pytest.mark.parametrize("flag, key, value, message", AWARD_FLAG_ERRORS)
+    def test_award_flag_out_of_range_rejected(
+        self, corpus_dir, tmp_path, capsys, flag, key, value, message
+    ):
+        out = tmp_path / "roc"
+        assert main(["roc", "--corpus", str(corpus_dir), "--year", "2010",
+                     flag, str(value), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_degenerate_measures_flagged_but_present(self, corpus_dir, tmp_path):
         out = tmp_path / "roc"

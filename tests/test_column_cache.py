@@ -139,6 +139,17 @@ def rewrite_cache(path, **members):
         np.savez(fh, **members)
 
 
+def first_nul(text):
+    return np.flatnonzero(text == 0)[0]
+
+
+def swap_before(text, i):
+    """`text` with the bytes at i - 1 and i swapped."""
+    text = text.copy()
+    text[i - 1], text[i] = text[i], text[i - 1]
+    return text
+
+
 class TestMissRewrites:
     @pytest.fixture
     def path(self, tmp_path):
@@ -187,10 +198,13 @@ class TestMissRewrites:
             lambda m: {"effective_year": m["effective_year"][:0]},
             lambda m: {"lengths": m["lengths"][:-1]},
             lambda m: {"text": m["text"][:-1]},
+            lambda m: {"text": np.delete(m["text"], first_nul(m["text"]))},
+            lambda m: {"text": swap_before(m["text"], first_nul(m["text"]))},
             lambda m: {"author_count": m["author_count"].reshape(1, -1)},
         ],
         ids=["int64-events", "int32-starts", "int32-lengths", "short-events",
-             "no-years", "short-lengths", "short-text", "2d-authors"],
+             "no-years", "short-lengths", "short-text", "text-without-a-separator",
+             "text-with-a-moved-separator", "2d-authors"],
     )
     def test_wrong_dtype_or_length(self, path, parses, change):
         rewrite_cache(path, **change(cache_members(path)))
@@ -270,6 +284,24 @@ def test_malformed_line_fails_alike_twice_and_is_never_cached(tmp_path, parses):
     assert [p.name for p in tmp_path.iterdir()] == ["authors.jsonl"]
 
 
+def test_strings_holding_nul_are_never_cached(tmp_path, parses, capsys):
+    # NUL ends each string of a cache's text, so such columns are not cached.
+    path = write_lines(
+        tmp_path,
+        line("a1", [pub("p\u00001"), pub("p2", is_patent=True)], name="N\u0000me"),
+    )
+    expected = columns_and_report(*parse_authors(path)[:2])
+    assert expected[0]["pub_id"] == ["p\u00001"]
+    outputs = []
+    for _ in range(2):
+        assert cli.main(["validate", "--corpus", str(tmp_path)]) == 0
+        outputs.append(capsys.readouterr())
+        assert columns_and_report(*load_authors(path)) == expected
+    assert outputs[0] == outputs[1]
+    assert parses == [path] * 4
+    assert [p.name for p in tmp_path.iterdir()] == ["authors.jsonl"]
+
+
 def test_cache_name_and_members(tmp_path):
     path = write_lines(tmp_path, line("a1", [pub("p1")]))
     load_authors(path)
@@ -280,8 +312,8 @@ def test_cache_name_and_members(tmp_path):
         "author_count": "<i4", "event_start": "<i8", "event_year": "<i4",
         "event_count": "<i4", "text": "|u1", "lengths": "<i8",
     }
-    # the author id, name and field, then the pub_id
-    assert bytes(members["text"]).decode() == "".join(["a1", "", "other", "p1"])
+    # the author id, name and field, then the pub_id, each ended by a NUL
+    assert bytes(members["text"]).decode() == "a1\0\0other\0p1\0"
 
 
 def test_code_key_is_the_digest_of_the_loader_source():

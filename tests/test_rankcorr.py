@@ -12,16 +12,27 @@ from scipy.stats import kendalltau, rankdata
 
 import oracles
 import scimetrics
+from scimetrics.corpus import (
+    AuthorCorpus,
+    AuthorProfile,
+    PublicationRecord,
+    snapshot_at,
+)
 from scimetrics.errors import DegenerateInputError
+from scimetrics.evaluation import measure_correlation_matrix
+from scimetrics.indices import Measure, measure_columns
 from scimetrics.rankcorr import (
     average_ranks,
+    dense_ranks,
     goodman_gamma,
     kendall_tau_a,
     kendall_tau_b,
     pair_counts,
+    pair_counts_of_ranks,
     roc_curve,
     somers_d,
     spearman_rho,
+    spearman_rho_of_ranks,
 )
 
 A = [1, 2, 2, 3]
@@ -258,6 +269,110 @@ class TestStatistics:
             assert spearman_rho(a, b) == pytest.approx(
                 oracles.spearman_oracle(a, b), abs=1e-12
             )
+
+
+def tied_columns(rng):
+    """Two aligned columns of 2 to 60 values, each drawn from 1 to 4 distinct
+    values: heavy ties, and now and then a constant column."""
+    n = rng.randint(2, 60)
+    columns = []
+    for _ in range(2):
+        alphabet = [rng.uniform(-5.0, 5.0) for _ in range(rng.randint(1, 4))]
+        columns.append([rng.choice(alphabet) for _ in range(n)])
+    return columns
+
+
+# Each statistic: from the pair counts and dense ranks of one ranking per
+# column, from the value sequences, and by the brute-force oracle.
+CORE = {
+    "tau_b": (lambda pc, ra, rb: pc.tau_b(), kendall_tau_b, oracles.tau_b_oracle),
+    "tau_a": (lambda pc, ra, rb: pc.tau_a(), kendall_tau_a, oracles.tau_a_oracle),
+    "somers_d": (lambda pc, ra, rb: pc.somers_d(), somers_d, oracles.somers_d_oracle),
+    "gamma": (lambda pc, ra, rb: pc.gamma(), goodman_gamma, oracles.gamma_oracle),
+    "rho": (
+        lambda pc, ra, rb: spearman_rho_of_ranks(ra, rb),
+        spearman_rho,
+        oracles.spearman_oracle,
+    ),
+}
+
+
+class TestRankCore:
+    def test_dense_ranks(self):
+        ranks = dense_ranks([2.5, -1.0, 2.5, 7.0, -1.0])
+        assert ranks.tolist() == [1, 0, 1, 2, 0]
+
+    def test_counts_equal_oracle_and_value_function(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            a, b = tied_columns(rng)
+            pc = pair_counts_of_ranks(dense_ranks(a), dense_ranks(b))
+            assert pc == pair_counts(a, b)
+            assert (
+                pc.concordant, pc.discordant, pc.ties_a_only, pc.ties_b_only,
+                pc.ties_both,
+            ) == oracles.pair_counts_oracle(a, b)
+
+    @pytest.mark.parametrize("name", list(CORE))
+    def test_statistic_equals_oracle_and_value_function(self, name):
+        from_core, from_values, oracle = CORE[name]
+        rng = random.Random(7)
+        defined = undefined = 0
+        for _ in range(200):
+            a, b = tied_columns(rng)
+            ra, rb = dense_ranks(a), dense_ranks(b)
+            pc = pair_counts_of_ranks(ra, rb)
+            try:
+                expected = oracle(a, b)
+            except ZeroDivisionError:  # the statistic is undefined
+                with pytest.raises(DegenerateInputError):
+                    from_core(pc, ra, rb)
+                with pytest.raises(DegenerateInputError):
+                    from_values(a, b)
+                undefined += 1
+                continue
+            value = from_core(pc, ra, rb)
+            assert value == from_values(a, b)
+            assert value == pytest.approx(expected, abs=1e-12)
+            defined += 1
+        assert defined > 100
+        assert undefined > 0 or name == "tau_a"  # tau_a is always defined
+
+    @pytest.mark.parametrize("core", [pair_counts_of_ranks, spearman_rho_of_ranks])
+    def test_core_rejects_misaligned_or_short_ranks(self, core):
+        with pytest.raises(ValueError, match="length mismatch"):
+            core(dense_ranks([1, 2, 3]), dense_ranks([1, 2]))
+        with pytest.raises(ValueError, match="at least 2"):
+            core(dense_ranks([1]), dense_ranks([1]))
+
+    def test_correlation_matrix_equals_pairwise_tau_b(self):
+        # One paper each, cited once, by teams of 1 to 4: h, c and g are
+        # constant (NaN rows), the fractional measures vary with ties.
+        authors = {
+            f"a{i:02d}": AuthorProfile(
+                f"a{i:02d}", "", "other",
+                (PublicationRecord(f"p{i}", 2000, i % 4 + 1, {2001 + i % 3: 1}),),
+            )
+            for i in range(12)
+        }
+        corpus = AuthorCorpus(authors=authors)
+        measures = list(Measure)
+        matrix = measure_correlation_matrix(corpus, 2005, measures)
+        ids = sorted(authors)
+        columns = measure_columns(snapshot_at(corpus, 2005), ids, measures)
+        expected = np.full((len(measures), len(measures)), np.nan)
+        for i, mi in enumerate(measures):
+            for j, mj in enumerate(measures):
+                try:
+                    expected[i, j] = kendall_tau_b(columns[mi], columns[mj])
+                except DegenerateInputError:
+                    pass
+        assert np.array_equal(matrix, expected, equal_nan=True)
+        constant = [np.ptp(columns[m]) == 0 for m in measures]
+        assert constant[measures.index(Measure.H)] and not all(constant)
+        assert np.isnan(matrix[constant]).all()
+        varying = np.logical_not(constant)
+        assert np.isfinite(matrix[np.ix_(varying, varying)]).all()
 
 
 class TestRoc:
