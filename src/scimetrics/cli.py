@@ -96,8 +96,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print(f"authors: {len(corpus.arrays.index)}")
     print(f"publications accepted: {report.accepted}")
     print(f"publications rejected: {report.rejected}")
-    for reason in sorted(report.rejected_by_reason):
-        print(f"  {reason}: {report.rejected_by_reason[reason]}")
+    for reason, count in sorted(report.rejected_by_reason.items()):
+        print(f"  {reason}: {count}")
     if args.report:
         _atomic_write(Path(args.report), report.csv_text())
     if args.reject_log:

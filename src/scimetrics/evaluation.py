@@ -45,10 +45,11 @@ _STATISTICS = {
 CRITERIA = tuple(_STATISTICS)
 
 
-# The range of each numeric AwardScheme field; NaN lies in none of them.
+# The range of each numeric AwardScheme field; NaN lies in none of them.  An
+# infinite factor would make award scores infinite, which no statistic takes.
 SCHEME_RANGES = {
     "selective_threshold": (">= 1", lambda v: v >= 1),
-    "selective_factor": ("> 0", lambda v: v > 0),
+    "selective_factor": ("finite and > 0", lambda v: 0 < v < math.inf),
     "subset_fraction": ("in (0, 1]", lambda v: 0 < v <= 1),
 }
 

@@ -56,19 +56,21 @@ REJECT_DUPLICATE = "duplicate"
 @dataclass
 class CleaningReport:
     accepted: int = 0
-    rejected_by_reason: Counter = field(default_factory=Counter)
     reject_log: list[tuple[str, str, str]] = field(default_factory=list)
 
     @property
+    def rejected_by_reason(self) -> Counter:
+        return Counter(reason for _, _, reason in self.reject_log)
+
+    @property
     def rejected(self) -> int:
-        return sum(self.rejected_by_reason.values())
+        return len(self.reject_log)
 
     @property
     def total(self) -> int:
         return self.accepted + self.rejected
 
     def record_reject(self, author_id: str, pub_id: str, reason: str) -> None:
-        self.rejected_by_reason[reason] += 1
         self.reject_log.append((author_id, pub_id, reason))
 
     def csv_text(self) -> str:
@@ -77,8 +79,7 @@ class CleaningReport:
         writer = csv.writer(buf)
         writer.writerow(["reason", "count"])
         writer.writerow(["accepted", self.accepted])
-        for reason in sorted(self.rejected_by_reason):
-            writer.writerow([reason, self.rejected_by_reason[reason]])
+        writer.writerows(sorted(self.rejected_by_reason.items()))
         return buf.getvalue()
 
 
@@ -184,8 +185,8 @@ def load_authors(path: str | Path) -> tuple[CorpusArrays, CleaningReport]:
     arrays, report, digest = parse_authors(path)
     try:
         atomic_write(cache, lambda fh: _write_cache(fh, arrays, report, digest))
-    except (OSError, _Uncacheable):
-        pass  # a read-only directory or a NUL: the next load parses again
+    except OSError:
+        pass  # a read-only directory: the next load parses again
     return arrays, report
 
 
@@ -213,6 +214,7 @@ def parse_authors(path: str | Path) -> tuple[CorpusArrays, CleaningReport, bytes
                 ) from exc
     arrays = columns.finish()
     _backdate(arrays)
+    report.accepted = len(arrays.pub_id)  # each accepted publication is a row
     return arrays, report, raw.sha.digest()
 
 
@@ -266,16 +268,15 @@ def _sha256(path: str | Path) -> bytes:
 # Every member of a column cache, in the order a hit reads them, each a
 # one-dimensional array of this dtype.  The integer columns of CorpusArrays
 # are kept as they are.  The author ids, names and fields, the pub_ids and
-# the reject log's triples are one UTF-8 `text`, each string ended by a NUL,
-# so that one split cuts them; `lengths` holds each string's length in code
-# points, which the pieces must match.
+# the reject log's triples are one ASCII `text`: lines that each hold a
+# compact JSON array of up to _STRINGS_AT_ONCE strings, which escapes NUL
+# and lone surrogates like any other character.
 _CACHE_DTYPES = {
     "code": np.uint8,
     "digest": np.uint8,
     "starts": np.int64,
     "effective_year": np.int32,
     "text": np.uint8,
-    "lengths": np.int64,
     "author_count": np.int32,
     "event_start": np.int64,
     "event_year": np.int32,
@@ -289,47 +290,28 @@ _CACHE_FAULTS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
 _STRINGS_AT_ONCE = 1 << 14
 
 
-class _Uncacheable(Exception):
-    """A string holds NUL, which ends each string of a column cache's text,
-    so the columns are not cached."""
-
-
 def _write_cache(
     fh: BinaryIO, arrays: CorpusArrays, report: CleaningReport, digest: bytes
 ) -> None:
     """Write the column cache of `arrays` and `report`, parsed from bytes
     whose SHA-256 is `digest`, in the format np.savez writes: a zip of
     stored .npy members.  np.savez would copy each column in 16 MiB pieces
-    and need the strings' lengths whole; here each column is written from
-    its own buffer and the lengths a batch at a time, so that writing adds
-    little more than the encoded text to memory, and a load that writes a
-    cache peaks no higher than a parse."""
-
-    def batches() -> Iterator[list[str]]:
-        strings = chain(
-            arrays.index, arrays.names, arrays.fields, arrays.pub_id,
-            chain.from_iterable(report.reject_log),
-        )
-        while batch := list(islice(strings, _STRINGS_AT_ONCE)):
-            yield batch
-
-    def utf8(batch: list[str]) -> bytes:
-        # surrogatepass, since a JSON "\ud800" escape loads as a lone surrogate
-        encoded = "\0".join([*batch, ""]).encode("utf-8", "surrogatepass")
-        if encoded.count(0) != len(batch):
-            raise _Uncacheable
-        return encoded
-
-    n_strings = 3 * len(arrays.names) + len(arrays.pub_id) + 3 * len(report.reject_log)
-    text = list(map(utf8, batches()))
+    and need the text as one array; here each column is written from its
+    own buffer and the text a line at a time, so that writing adds little
+    more than the encoded lines to memory, and a load that writes a cache
+    peaks no higher than a parse."""
+    strings = chain(
+        arrays.index, arrays.names, arrays.fields, arrays.pub_id,
+        chain.from_iterable(report.reject_log),
+    )
+    text = [
+        (json.dumps(batch, separators=(",", ":")) + "\n").encode("ascii")
+        for batch in iter(lambda: list(islice(strings, _STRINGS_AT_ONCE)), [])
+    ]
     members = {
         "code": (32, [_code_key()]),
         "digest": (32, [digest]),
         "text": (sum(map(len, text)), text),
-        "lengths": (
-            n_strings,
-            (np.fromiter(map(len, batch), np.int64, len(batch)) for batch in batches()),
-        ),
     }
     for name in _INT_COLUMNS:
         column = getattr(arrays, name)
@@ -387,7 +369,7 @@ def _cached_columns(
     starts, effective_year = member("starts"), member("effective_year")
     n_authors, n_pubs = len(starts) - 1, len(effective_year)
     ids, names, fields, pub_id, rejects = _cut(
-        member("text"), member("lengths"), [n_authors] * 3 + [n_pubs]
+        member("text"), [n_authors] * 3 + [n_pubs]
     )
     author_count, event_start = member("author_count"), member("event_start")
     event_year, event_count = member("event_year"), member("event_count")
@@ -409,26 +391,34 @@ def _cached_columns(
         event_year=event_year,
         event_count=event_count,
     )
-    report = CleaningReport(
-        accepted=n_pubs,  # every accepted publication is a row of the columns
-        rejected_by_reason=Counter(reason for _, _, reason in reject_log),
-        reject_log=reject_log,
-    )
-    return arrays, report
+    # every accepted publication is a row of the columns
+    return arrays, CleaningReport(accepted=n_pubs, reject_log=reject_log)
 
 
-def _cut(text: np.ndarray, lengths: np.ndarray, counts: list[int]) -> list[list[str]]:
+def _cut(text: np.ndarray, counts: list[int]) -> list[list[str]]:
     """The strings of a column cache's `text` as lists of `counts` strings
     each, then one list of the rest, which must make whole triples."""
-    rest = len(lengths) - sum(counts)
-    if min(counts, default=0) < 0 or rest < 0 or rest % 3 or lengths.min(initial=0) < 0:
+    *lines, end = text.tobytes().split(b"\n")
+    if end:
+        raise ValueError("column cache text does not end with a newline")
+    strings = chain.from_iterable(map(_json_strings, lines))
+    cut = [list(islice(strings, n)) for n in counts]  # a count < 0 is a ValueError
+    cut.append(list(strings))
+    if list(map(len, cut[:-1])) != counts or len(cut[-1]) % 3:
         raise ValueError("column cache strings do not fit its columns")
-    pieces = str(text.data, "utf-8", "surrogatepass").split("\0")
-    sizes = np.fromiter(map(len, pieces), np.int64, len(pieces))
-    if sizes[-1] != 0 or not np.array_equal(sizes[:-1], lengths):
-        raise ValueError("column cache text differs from its lengths")
-    strings = iter(pieces)
-    return [list(islice(strings, n)) for n in [*counts, rest]]
+    return cut
+
+
+def _json_strings(line: bytes) -> list[str]:
+    """A line of a column cache's text, which must be a JSON array of
+    strings."""
+    try:
+        strings = orjson.loads(line)
+    except orjson.JSONDecodeError:
+        strings = json.loads(line)  # orjson refuses a lone surrogate escape
+    if type(strings) is not list or not _STR.issuperset(map(type, strings)):
+        raise ValueError("column cache text holds a line that is not strings")
+    return strings
 
 
 @functools.cache
@@ -458,8 +448,9 @@ def atomic_write(path: Path, write: Callable[[BinaryIO], object]) -> None:
 
 def _backdate(arrays: CorpusArrays) -> None:
     """Lower each publication's effective year, in place, to its first
-    citation year where that is earlier.  The column pass appends declared
-    years; walked publications already hold the minimum."""
+    citation year where that is earlier, which repairs records cited before
+    their listed date.  This is the only place the rule is applied: the
+    column pass and `_walk` both append declared years."""
     cited, first_event = arrays.cited
     years = arrays.effective_year
     years[cited] = np.minimum(
@@ -509,11 +500,11 @@ def _add_line(columns: ColumnBuilder, report: CleaningReport, line: str) -> None
     except orjson.JSONDecodeError:
         obj = None
     if _keys_unique(line, obj):
-        if not _add_clean_author(columns, report, obj):
+        if not _add_clean_author(columns, obj):
             _walk(columns, report, json.loads(line))
         return
     obj = json.loads(line, object_pairs_hook=_unique_keys)
-    if not _add_clean_author(columns, report, obj):
+    if not _add_clean_author(columns, obj):
         _walk(columns, report, obj)
 
 
@@ -538,7 +529,7 @@ def _keys_unique(line: str, obj) -> bool:
     return line.count(":") == keys
 
 
-def _add_clean_author(columns: ColumnBuilder, report: CleaningReport, obj) -> bool:
+def _add_clean_author(columns: ColumnBuilder, obj) -> bool:
     """Append an author whose publications are all accepted, in one pass over
     columns, and return True; return False, having appended nothing, for any
     other line's object, which `_walk` then takes.  `obj` repeats no key.
@@ -594,7 +585,6 @@ def _add_clean_author(columns: ColumnBuilder, report: CleaningReport, obj) -> bo
     columns.event_year.extend(cite_years)
     columns.event_count.extend(counts)
     columns.add_author(author_id, name, field_tag)
-    report.accepted += len(pubs)
     return True
 
 
@@ -604,10 +594,10 @@ def _walk(columns: ColumnBuilder, report: CleaningReport, obj) -> None:
 
     The cleaning rule: a patent, a duplicate, a record without a positive
     author count and one without a year are rejected, in that order; an
-    accepted publication's effective year is the minimum of its declared
-    year and its first citation year, which repairs records cited before
-    their listed date.  Every record is type-checked, but only accepted ones
-    have their counts checked for sign and their pub_ids for repeats.
+    accepted publication is appended with its declared year, which
+    `_backdate` later lowers to its first citation year where that is
+    earlier.  Every record is type-checked, but only accepted ones have
+    their counts checked for sign and their pub_ids for repeats.
     """
     obj = _object(obj, "the line")
     if "schema_version" in obj and "author_id" not in obj:
@@ -645,9 +635,7 @@ def _walk(columns: ColumnBuilder, report: CleaningReport, obj) -> None:
             for y, c in cites.items():
                 if c < 0:
                     raise ValueError(f"{pub_id}: negative citation count in {y}")
-            effective_year = min(year, min(cites, default=year))
-            columns.add_publication(pub_id, effective_year, n_authors, cites)
-            report.accepted += 1
+            columns.add_publication(pub_id, year, n_authors, cites)
     name = _string(obj, "name", "")
     field_tag = _string(obj, "field", "other")
     pub_ids = columns.pub_id[first:]

@@ -2,8 +2,9 @@
 
 All statistics are defined through the classification of every index pair:
 concordant (C), discordant (D), tied in the first sequence only (T_A),
-tied in the second only (T_B), tied in both.  The counts come from sorting
-and group sizes (Knight 1966), in O(n log n) time and O(n) memory.  Each
+tied in the second only (T_B), tied in both.  The counts come from sorting,
+group sizes and a merge-sort inversion count (Knight 1966) whose ceil(log2 n)
+passes each search and sort n values: O(n log^2 n) time and O(n) memory.  Each
 statistic has one core over `dense_ranks` arrays, so a caller that pairs one
 column with many ranks it once; the functions over value sequences rank
 their inputs and call that core.

@@ -29,7 +29,9 @@ def corpus_dir(tmp_path_factory):
 # names the key.
 AWARD_FLAG_ERRORS = [
     ("--award-factor", "award_factor", float("nan"),
-     "award_factor must be > 0, got nan"),
+     "award_factor must be finite and > 0, got nan"),
+    ("--award-factor", "award_factor", float("inf"),
+     "award_factor must be finite and > 0, got inf"),
     ("--award-threshold", "award_threshold", 0,
      "award_threshold must be >= 1, got 0"),
     ("--award-subset-frac", "award_subset_frac", 0.0,

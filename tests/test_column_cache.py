@@ -139,15 +139,11 @@ def rewrite_cache(path, **members):
         np.savez(fh, **members)
 
 
-def first_nul(text):
-    return np.flatnonzero(text == 0)[0]
-
-
-def swap_before(text, i):
-    """`text` with the bytes at i - 1 and i swapped."""
-    text = text.copy()
-    text[i - 1], text[i] = text[i], text[i - 1]
-    return text
+def edit_text(text, old, new):
+    """The cache's `text` with its first `old` bytes replaced by `new`."""
+    edited = bytes(text).replace(old, new, 1)
+    assert edited != bytes(text)
+    return np.frombuffer(edited, np.uint8)
 
 
 class TestMissRewrites:
@@ -193,25 +189,30 @@ class TestMissRewrites:
         [
             lambda m: {"event_year": m["event_year"].astype(np.int64)},
             lambda m: {"starts": m["starts"].astype(np.int32)},
-            lambda m: {"lengths": m["lengths"].astype(np.int32)},
             lambda m: {"event_count": m["event_count"][:-1]},
             lambda m: {"effective_year": m["effective_year"][:0]},
-            lambda m: {"lengths": m["lengths"][:-1]},
             lambda m: {"text": m["text"][:-1]},
-            lambda m: {"text": np.delete(m["text"], first_nul(m["text"]))},
-            lambda m: {"text": swap_before(m["text"], first_nul(m["text"]))},
+            lambda m: {"text": edit_text(m["text"], b'["a1"', b'[a1"')},
+            lambda m: {"text": edit_text(m["text"], b'"a1"', b"7")},
+            lambda m: {"text": edit_text(m["text"], b'other","p1', b"otherp1")},
+            lambda m: {"text": edit_text(m["text"], b',"p1","a1","p2","patent"', b"")},
+            lambda m: {"text": np.append(m["text"], np.frombuffer(b"[]", np.uint8))},
+            # as many characters as the columns need strings
+            lambda m: {"text": np.frombuffer(b'"abcdefg"\n', np.uint8)},
             lambda m: {"author_count": m["author_count"].reshape(1, -1)},
         ],
-        ids=["int64-events", "int32-starts", "int32-lengths", "short-events",
-             "no-years", "short-lengths", "short-text", "text-without-a-separator",
-             "text-with-a-moved-separator", "2d-authors"],
+        ids=["int64-events", "int32-starts", "short-events", "no-years",
+             "short-text", "text-not-json", "text-holding-a-number",
+             "text-with-two-strings-joined", "text-with-too-few-strings",
+             "text-without-a-final-newline", "text-a-string-not-an-array",
+             "2d-authors"],
     )
     def test_wrong_dtype_or_length(self, path, parses, change):
         rewrite_cache(path, **change(cache_members(path)))
         self.assert_missed(path, parses)
 
     def test_object_array_is_not_unpickled(self, path, parses, monkeypatch):
-        rewrite_cache(path, lengths=cache_members(path)["lengths"].astype(object))
+        rewrite_cache(path, starts=cache_members(path)["starts"].astype(object))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a column cache was unpickled")
@@ -284,22 +285,21 @@ def test_malformed_line_fails_alike_twice_and_is_never_cached(tmp_path, parses):
     assert [p.name for p in tmp_path.iterdir()] == ["authors.jsonl"]
 
 
-def test_strings_holding_nul_are_never_cached(tmp_path, parses, capsys):
-    # NUL ends each string of a cache's text, so such columns are not cached.
-    path = write_lines(
-        tmp_path,
-        line("a1", [pub("p\u00001"), pub("p2", is_patent=True)], name="N\u0000me"),
-    )
+def test_strings_with_nul_or_a_lone_surrogate_are_cached(tmp_path, parses, capsys):
+    # The cache's text is JSON, which escapes both like any other character.
+    pubs = [pub("p\u00001"), pub("p2", is_patent=True)]
+    path = write_lines(tmp_path, line("a1", pubs, name="N\u0000me\ud800"))
     expected = columns_and_report(*parse_authors(path)[:2])
     assert expected[0]["pub_id"] == ["p\u00001"]
+    assert expected[0]["names"] == ["N\u0000me\ud800"]
     outputs = []
     for _ in range(2):
         assert cli.main(["validate", "--corpus", str(tmp_path)]) == 0
         outputs.append(capsys.readouterr())
-        assert columns_and_report(*load_authors(path)) == expected
+        assert parses == [path] and cache_path(path).is_file()
     assert outputs[0] == outputs[1]
-    assert parses == [path] * 4
-    assert [p.name for p in tmp_path.iterdir()] == ["authors.jsonl"]
+    assert columns_and_report(*load_authors(path)) == expected
+    assert parses == [path]
 
 
 def test_cache_name_and_members(tmp_path):
@@ -310,10 +310,10 @@ def test_cache_name_and_members(tmp_path):
     assert {name: a.dtype.str for name, a in members.items()} == {
         "code": "|u1", "digest": "|u1", "starts": "<i8", "effective_year": "<i4",
         "author_count": "<i4", "event_start": "<i8", "event_year": "<i4",
-        "event_count": "<i4", "text": "|u1", "lengths": "<i8",
+        "event_count": "<i4", "text": "|u1",
     }
-    # the author id, name and field, then the pub_id, each ended by a NUL
-    assert bytes(members["text"]).decode() == "a1\0\0other\0p1\0"
+    # the author id, name and field, then the pub_id, as a line of JSON
+    assert bytes(members["text"]) == b'["a1","","other","p1"]\n'
 
 
 def test_code_key_is_the_digest_of_the_loader_source():

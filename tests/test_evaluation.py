@@ -127,6 +127,12 @@ class TestAwardScores:
             corpus, 2015, other
         )
 
+    @pytest.mark.parametrize("factor", [math.inf, math.nan, 0.0])
+    def test_factor_must_be_finite_and_positive(self, factor):
+        message = f"selective_factor must be finite and > 0, got {factor}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AwardScheme(mode="selective_weight", selective_factor=factor)
+
 
 class TestApplyFilter:
     def test_all_is_identity(self):
