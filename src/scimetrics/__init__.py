@@ -22,7 +22,7 @@ from .evaluation import (
     series,
     series_grid,
 )
-from .indices import Measure, compute_all, compute_measure
+from .indices import Measure, compute_all, compute_measure, measure_table
 from .rankcorr import (
     PairCounts,
     RocCurve,
@@ -61,6 +61,7 @@ __all__ = [
     "kendall_tau_a",
     "kendall_tau_b",
     "measure_correlation_matrix",
+    "measure_table",
     "pair_counts",
     "predictive_power",
     "roc_curve",

@@ -45,8 +45,19 @@ def _fmt_all(values) -> np.ndarray:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write `text` to `path` as UTF-8; text that UTF-8 cannot hold, such as
+    an id with a lone surrogate, is an error naming path:line, raised before
+    any file or directory is made."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        line = text.count("\n", 0, exc.start) + 1
+        raise ValueError(
+            f"{path}:{line}: cannot write {exc.object[exc.start:exc.end]!r} "
+            f"as UTF-8 ({exc.reason})"
+        ) from None
     path.parent.mkdir(parents=True, exist_ok=True)
-    ingest.atomic_write(path, lambda fh: fh.write(text.encode("utf-8")))
+    ingest.atomic_write(path, lambda fh: fh.write(data))
 
 
 def _load_corpus(corpus_path: str) -> tuple[AuthorCorpus, ingest.CleaningReport]:

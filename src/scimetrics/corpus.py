@@ -278,46 +278,142 @@ def outside_int32(what: str, value: int) -> str:
     return f"{what} {value} is outside the 32-bit integer range"
 
 
+# The citation events one np.bincount of `citations_through` sums at most,
+# so that its transients stay small however large the corpus.
+_EVENT_CHUNK = 2**15
+
+
+def check_year(year: int) -> None:
+    """Raise a ValueError unless a snapshot can observe `year`."""
+    lo, hi = VALID_YEAR_RANGE
+    if not lo <= year <= hi:
+        raise ValueError(f"snapshot year {year} outside valid range [{lo}, {hi}]")
+
+
+def citations_through(
+    arrays: CorpusArrays, first: int, last: int, years: np.ndarray
+) -> np.ndarray:
+    """(len(years), last - first) int64: the citations of each of
+    publications first:last accrued through the end of each of the
+    ascending, non-empty `years`.
+
+    The publications are taken in runs of at most _EVENT_CHUNK citation
+    events (or one publication with more).  For several years, one
+    np.bincount per run, keyed by (first of `years` that counts the event,
+    publication), sums the events, and a running sum over the years
+    accumulates them; its float64 sums are exact while each publication's
+    citations stay below 2^53, and a larger one raises.  For one year, a
+    masked np.add.reduceat per run does the same in int64 with half the
+    passes over the events.
+    """
+    buckets = len(years) + 1  # the last one counts at none of the years
+    start = arrays.event_start[first : last + 1]
+    out = np.zeros((len(years), last - first), dtype=np.int64)
+    for a, b in runs(start[:-1], start[1:], _EVENT_CHUNK):
+        events = slice(start[a], start[b])
+        if len(years) == 1:
+            counted = arrays.event_year[events] <= int(years[0])
+            counted = np.multiply(arrays.event_count[events], counted, dtype=np.int64)
+            # reduceat reads an empty run as the event after it: skip those.
+            cited = start[a:b] < start[a + 1 : b + 1]
+            out[0, a:b][cited] = np.add.reduceat(counted, start[a:b][cited] - start[a])
+        else:
+            key = year_index(years, arrays.event_year[events])
+            key *= b - a
+            key += np.repeat(np.arange(b - a), np.diff(start[a : b + 1]))
+            sums = np.bincount(
+                key, weights=arrays.event_count[events], minlength=buckets * (b - a)
+            )
+            if sums.max(initial=0) >= 2**53:
+                raise ValueError("a publication's citations reach 2^53: not exact")
+            part = out[:, a:b]
+            part[...] = sums.reshape(buckets, b - a)[:-1]
+            accumulate(part)
+    return out
+
+
+def year_index(years: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """int64 for each of `values`: the index of the first of the ascending
+    `years` at or after it, len(years) past the last.  It equals
+    np.searchsorted(years, values), looked up over the span of `years`."""
+    lo, hi = int(years[0]), int(years[-1]) + 1
+    index = np.subtract(np.clip(values, lo, hi), lo, dtype=np.int64)
+    if hi - lo == len(years):  # consecutive years index themselves
+        return index
+    return np.searchsorted(years, np.arange(lo, hi + 1))[index]
+
+
+def runs(
+    begin: np.ndarray, end: np.ndarray, size: int
+) -> Iterator[tuple[int, int]]:
+    """Consecutive runs [i, j) of items, item t spanning begin[t]:end[t] of
+    one ascending range, each run spanning at most `size` (or holding one
+    item)."""
+    i = 0
+    while i < len(begin):
+        j = max(int(np.searchsorted(end, begin[i] + size, side="right")), i + 1)
+        yield i, j
+        i = j
+
+
+def accumulate(rows: np.ndarray) -> None:
+    """Turn the rows of an integer array into their running sums, in place:
+    one vectorised addition per row."""
+    for j in range(1, len(rows)):
+        rows[j] += rows[j - 1]
+
+
 @dataclass(frozen=True, eq=False)
 class Snapshot:
-    """The corpus as observable at the end of `observation_year`: a column
-    slice of the corpus arrays."""
+    """The corpus as observable at the end of `observation_year`."""
 
     observation_year: int
     corpus: AuthorCorpus
-    citations: np.ndarray  # int64 per publication
+
+    @cached_property
+    def citations(self) -> np.ndarray:
+        """int64 per publication: its citations through observation_year,
+        summed on first read."""
+        arrays = self.corpus.arrays
+        years = np.array([self.observation_year])
+        return citations_through(arrays, 0, len(arrays.pub_id), years)[0]
 
     def in_view(self, ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """(row, pub) of every publication in view of the authors `ids`,
         where row is the author's position in `ids`; grouped by row, in
         publication order within a row."""
         arrays = self.corpus.arrays
-        try:
-            k = np.array([arrays.index[a] for a in ids], dtype=np.int64)
-        except KeyError as exc:
-            raise KeyError(f"unknown author {exc.args[0]!r}") from None
-        first, lengths = arrays.starts[k], arrays.starts[k + 1] - arrays.starts[k]
-        row = np.repeat(np.arange(len(ids)), lengths)
-        shift = first - (np.cumsum(lengths) - lengths)  # pub minus flat position
-        pub = np.arange(len(row)) + np.repeat(shift, lengths)
-        keep = arrays.effective_year[pub] <= self.observation_year
-        return row[keep], pub[keep]
+        return in_view(arrays, author_positions(arrays, ids), self.observation_year)
+
+
+def author_positions(arrays: CorpusArrays, ids: list[str]) -> np.ndarray:
+    """The corpus position of each of `ids`; an unknown id is a KeyError."""
+    try:
+        return np.array([arrays.index[a] for a in ids], dtype=np.int64)
+    except KeyError as exc:
+        raise KeyError(f"unknown author {exc.args[0]!r}") from None
+
+
+def in_view(
+    arrays: CorpusArrays, k: np.ndarray, year: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, pub) of every publication dated at or before `year` of the
+    authors at corpus positions `k`, where row indexes `k`; grouped by row,
+    in publication order within a row."""
+    first, lengths = arrays.starts[k], arrays.starts[k + 1] - arrays.starts[k]
+    row = np.repeat(np.arange(len(k)), lengths)
+    shift = first - (np.cumsum(lengths) - lengths)  # pub minus flat position
+    pub = np.arange(len(row)) + np.repeat(shift, lengths)
+    keep = arrays.effective_year[pub] <= year
+    return row[keep], pub[keep]
 
 
 def snapshot_at(corpus: AuthorCorpus, year: int) -> Snapshot:
     """Restrict the corpus to publications with effective_year <= year and
     citations accrued through the end of that year.
 
-    Authors with no publications yet remain present with empty sets.
+    Authors with no publications yet remain present with empty sets.  No
+    per-publication work is done until `Snapshot.citations` is read.
     """
-    lo, hi = VALID_YEAR_RANGE
-    if not lo <= year <= hi:
-        raise ValueError(f"snapshot year {year} outside valid range [{lo}, {hi}]")
-    arrays = corpus.arrays
-    cited, first_event = arrays.cited
-    citations = np.zeros(len(cited), dtype=np.int64)
-    citations[cited] = np.add.reduceat(
-        np.multiply(arrays.event_count, arrays.event_year <= year, dtype=np.int64),
-        first_event,
-    )
-    return Snapshot(observation_year=year, corpus=corpus, citations=citations)
+    check_year(year)
+    return Snapshot(observation_year=year, corpus=corpus)

@@ -13,7 +13,7 @@ import numpy as np
 from . import rankcorr
 from .corpus import AuthorCorpus, Snapshot, snapshot_at
 from .errors import DegenerateInputError
-from .indices import Measure, measure_columns
+from .indices import Measure, measure_columns, measure_table
 
 AWARD_MODES = ("equal_weight", "selective_weight", "binary")
 FILTER_MODES = ("all", "no_hyperauthors", "bottom_half_citations", "peak_in_window")
@@ -238,11 +238,13 @@ def series_grid(
 ) -> dict[tuple[Measure, str], EvaluationSeries]:
     """Per-year evaluation of every (measure, criterion) over [start, end].
 
-    Each year's snapshot, filter, award scores (by year + horizon), measure
-    columns and their ranks are built once and shared by all cells, and so
-    are the pair counts of each (measure, awards) pair.  This is the one
-    place a year becomes criterion values: a degenerate cell is a gap, and
-    its gap reason says why.
+    Each year's snapshot, filter and award scores (by year + horizon) are
+    built once and shared by all cells.  One `measure_table` over the whole
+    run of years gives the measure values of every author a filter keeps in
+    any year; each year's columns and their ranks are then shared by all
+    cells, and so are the pair counts of each (measure, awards) pair.  This
+    is the one place a year becomes criterion values: a degenerate cell is
+    a gap, and its gap reason says why.
     """
     start, end = year_range
     if start > end:
@@ -253,28 +255,40 @@ def series_grid(
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}")
     years = tuple(range(start, end + 1))
+    kept: dict[int, list[str]] = {}  # the authors of each year the filter keeps
+    gaps: dict[int, str] = {}
+    for year in years:
+        try:
+            kept[year] = apply_filter(
+                corpus, snapshot_at(corpus, year), author_filter
+            )
+        except DegenerateInputError as exc:  # the filter keeps nobody
+            gaps[year] = str(exc)
+    union = sorted(set().union(*kept.values()))
+    position = {a: i for i, a in enumerate(union)}
+    table = dict(zip(kept, measure_table(corpus, list(kept), union, measures)))
     values: dict[tuple[Measure, str], list[float | None]] = {
         (m, c): [] for m in measures for c in criteria
     }
     reasons: dict[tuple[Measure, str], list[str | None]] = {k: [] for k in values}
     counts = []
     for year in years:
-        snapshot = snapshot_at(corpus, year)
-        try:
-            ids = apply_filter(corpus, snapshot, author_filter)
-        except DegenerateInputError as exc:  # the filter keeps nobody
-            ids, gap = [], str(exc)
-        else:
+        ids = kept.get(year, [])
+        counts.append(len(ids))
+        gap = gaps.get(year)
+        if gap is None and len(ids) < 2:
+            gap = f"fewer than 2 authors at year {year} after filtering"
+        if gap is None:
             scores = award_scores(corpus, year + horizon, scheme)
             awards = np.array([scores[a] for a in ids], dtype=float)
-            columns = measure_columns(snapshot, ids, measures)
-            gap = None
-            if len(ids) < 2:
-                gap = f"fewer than 2 authors at year {year} after filtering"
-        counts.append(len(ids))
-        if gap is None:
             award_ranks = rankcorr.dense_ranks(awards)
-            pairs = {m: _Pair(columns[m], awards, award_ranks) for m in measures}
+            columns = table[year]
+            if ids != union:
+                columns = columns[:, [position[a] for a in ids]]
+            pairs = {
+                m: _Pair(column, awards, award_ranks)
+                for m, column in zip(measures, columns)
+            }
         for (measure, criterion), cell in values.items():
             value, reason = None, gap
             if gap is None:

@@ -5,7 +5,7 @@ constant team sizes), `growing` (mean team size rising linearly over the
 years), and `hyper` (a fraction of authors additionally joins consortium
 papers with thousands of authors from an onset year on).  Awards are
 conferred each year to the top authors by a latent measure (c-frac or h),
-taken from the same yearly `measure_columns` the evaluation uses, so
+taken from the same `measure_table` the evaluation uses, so
 index-vs-award correlations are meaningful by construction.
 """
 
@@ -22,9 +22,8 @@ from .corpus import (
     AwardGrant,
     ColumnBuilder,
     outside_int32,
-    snapshot_at,
 )
-from .indices import Measure, measure_columns
+from .indices import Measure, measure_table
 
 REGIMES = ("classic", "growing", "hyper")
 LATENT_SCORES = ("c-frac", "h")
@@ -194,11 +193,11 @@ def _confer_awards(
     if config.awards_per_year == 0 or not corpus.arrays.index:
         return catalog, grants
     ids = sorted(corpus.arrays.index)
-    latent = Measure(config.latent_reputation)
-    for year in range(config.award_start_year, config.end_year + 1):
-        column = measure_columns(snapshot_at(corpus, year), ids, [latent])[latent]
+    years = range(config.award_start_year, config.end_year + 1)
+    latent = measure_table(corpus, years, ids, [Measure(config.latent_reputation)])
+    for year, (column,) in zip(years, latent):
         # highest score first, ties by id: ids are sorted, so by position
-        ranked = np.lexsort((np.arange(len(ids)), -np.asarray(column)))
+        ranked = np.lexsort((np.arange(len(ids)), -column))
         award_id = f"synth-{year}"
         n_laureates = min(config.awards_per_year, len(ids))
         catalog[award_id] = AwardCatalogEntry(

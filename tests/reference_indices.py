@@ -1,11 +1,11 @@
-"""The per-author reference for `scimetrics.indices.measure_columns`.
+"""The per-author reference for `scimetrics.indices.measure_table`.
 
 Each author's publications in view become one object per paper, each
 normalizer's citation vector is sorted in Python, and every measure is a
 loop over that vector.  It shares only the Measure names and the snapshot's
 per-publication citation counts with the library, so the tests can hold
-`measure_columns` (and `compute_all`, its one-author view) to it value for
-value and type for type.
+`measure_table` (and `measure_columns` and `compute_all`, its one-year and
+one-author views) to it value for value and type for type.
 """
 
 from __future__ import annotations

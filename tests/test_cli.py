@@ -84,6 +84,32 @@ class TestValidate:
         )
         assert [p.name for p in report.parent.iterdir()] == ["report.csv"]
 
+    @pytest.mark.parametrize("command", ["validate", "indices"])
+    def test_unwritable_id_names_the_output(self, command, tmp_path, capsys):
+        # The loader accepts an author id holding a lone surrogate, which
+        # UTF-8 cannot encode: writing it fails at the output's path:line,
+        # and neither the file nor a temporary one is left behind.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "authors.jsonl").write_text(
+            '{"author_id": "a\\ud800", "publications": ['
+            '{"pub_id": "p1", "year": 2000, "authors": 1, "is_patent": true}, '
+            '{"pub_id": "p2", "year": 2000, "authors": 1, "cites": {"2001": 3}}]}\n'
+        )
+        out = tmp_path / "out" / "table.csv"
+        argv = {
+            "validate": ["validate", "--corpus", str(corpus), "--reject-log", str(out)],
+            "indices": ["indices", "--corpus", str(corpus), "--year", "2005",
+                        "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {out}:2: cannot write '\\ud800' as UTF-8 "
+            "(surrogates not allowed)\n"
+        )
+        assert not out.parent.exists()
+
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main(["validate", "--corpus", str(tmp_path / "nope.jsonl")]) == 1
         assert "error" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 the per-author reference in reference_indices.py: equal values of equal type,
 never approximately."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,6 @@ from scimetrics.corpus import (
     AuthorCorpus,
     AuthorProfile,
     PublicationRecord,
-    Snapshot,
     snapshot_at,
 )
 from scimetrics.errors import DegenerateInputError
@@ -153,15 +153,21 @@ class TestMeasureColumns:
         vector = reference.CitationVector(entries, (1, 1, 1))
         assert reference.c_index(vector) == 1e16
         assert reference.mu_index(vector) == 1e16 / 3
-        pubs = tuple(PublicationRecord(f"p{j}", 2000, 1, {}) for j in range(3))
+        # Citations are integers, so the fractional sums are where order
+        # shows: 2^31 - 1 plus three thirds, one at a time, rounds to
+        # 2147483647.9999998, where the exact sum is 2^31.
+        pubs = (PublicationRecord("p0", 2000, 1, {2000: 2**31 - 1}),) + tuple(
+            PublicationRecord(f"p{j}", 2000, 3, {2000: 1}) for j in range(1, 4)
+        )
         corpus = AuthorCorpus(authors={"a": AuthorProfile("a", "a", "other", pubs)})
-        snap = Snapshot(2000, corpus, np.array(entries))
+        snap = snapshot_at(corpus, 2000)
         columns = measure_columns(snap, ["a"], list(Measure))
         values = reference.compute_all("a", snap)
-        for measure in (Measure.C, Measure.C_FRAC):
-            assert columns[measure] == [values[measure]] == [1e16]
-        for measure in (Measure.MU, Measure.MU_FRAC):
-            assert columns[measure] == [values[measure]] == [1e16 / 3]
+        sequential = 2147483647.9999998
+        assert math.fsum([2**31 - 1] + [1 / 3] * 3) == 2**31 != sequential
+        assert columns[Measure.C_FRAC] == [values[Measure.C_FRAC]] == [sequential]
+        assert columns[Measure.MU_FRAC] == [values[Measure.MU_FRAC]] == [sequential / 4]
+        assert columns[Measure.C] == [values[Measure.C]] == [2**31 + 2]
 
     def test_memory_is_not_authors_times_widest_author(self):
         # One 2,000-paper author among 2,000 ten-paper authors: a single
