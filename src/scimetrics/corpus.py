@@ -318,7 +318,7 @@ def citations_through(
             cited = start[a:b] < start[a + 1 : b + 1]
             out[0, a:b][cited] = np.add.reduceat(counted, start[a:b][cited] - start[a])
         else:
-            key = year_index(years, arrays.event_year[events])
+            key = np.searchsorted(years, arrays.event_year[events])
             key *= b - a
             key += np.repeat(np.arange(b - a), np.diff(start[a : b + 1]))
             sums = np.bincount(
@@ -328,19 +328,8 @@ def citations_through(
                 raise ValueError("a publication's citations reach 2^53: not exact")
             part = out[:, a:b]
             part[...] = sums.reshape(buckets, b - a)[:-1]
-            accumulate(part)
+            np.cumsum(part, axis=0, out=part)
     return out
-
-
-def year_index(years: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """int64 for each of `values`: the index of the first of the ascending
-    `years` at or after it, len(years) past the last.  It equals
-    np.searchsorted(years, values), looked up over the span of `years`."""
-    lo, hi = int(years[0]), int(years[-1]) + 1
-    index = np.subtract(np.clip(values, lo, hi), lo, dtype=np.int64)
-    if hi - lo == len(years):  # consecutive years index themselves
-        return index
-    return np.searchsorted(years, np.arange(lo, hi + 1))[index]
 
 
 def runs(
@@ -354,13 +343,6 @@ def runs(
         j = max(int(np.searchsorted(end, begin[i] + size, side="right")), i + 1)
         yield i, j
         i = j
-
-
-def accumulate(rows: np.ndarray) -> None:
-    """Turn the rows of an integer array into their running sums, in place:
-    one vectorised addition per row."""
-    for j in range(1, len(rows)):
-        rows[j] += rows[j - 1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,13 +20,11 @@ from .corpus import (
     AuthorCorpus,
     CorpusArrays,
     Snapshot,
-    accumulate,
     author_positions,
     check_year,
     citations_through,
     in_view,
     runs,
-    year_index,
 )
 
 
@@ -139,15 +137,8 @@ def _block_columns(
     if h_core:
         # Ties keep publication order, as in the reference's citation
         # vectors, so the author counts line up with them; -inf padding
-        # sorts last, in any order.  Citations are whole numbers, so the
-        # distinct keys cites * width + (width - 1 - column) sort into that
-        # order without a stable sort, while they stay exact below 2^53.
-        width = cites.shape[-1]
-        if cites.max(initial=0) < 2**53 // width - width:
-            key = cites * width + np.arange(width - 1, -1, -1)
-            order = np.argsort(np.negative(key, out=key), axis=-1)
-        else:
-            order = np.argsort(-cites, axis=-1, kind="stable")
+        # sorts last, in any order.
+        order = np.argsort(-cites, axis=-1, kind="stable")
         raw = _gather(cites, order)
         columns.update(_base_columns(raw, n, traditional | {Measure.H}))
         h = columns[Measure.H]
@@ -228,7 +219,7 @@ def _chunk_columns(
     row, pub = in_view(arrays, k, int(years[-1]))
     # The index of the first of `years` at which each publication is in view,
     # and its citations through each year, -inf before that.
-    since = year_index(years, arrays.effective_year[pub])
+    since = np.searchsorted(years, arrays.effective_year[pub])
     cites = np.where(
         np.arange(len(years))[:, None] >= since,
         citations_through(arrays, first, last, years)[:, pub - first],
@@ -239,7 +230,7 @@ def _chunk_columns(
     # Each row's papers in view at each year.
     counts = np.bincount(since * len(k) + row, minlength=(len(years) + 1) * len(k))
     counts = counts.reshape(len(years) + 1, len(k))[:-1]
-    accumulate(counts)
+    np.cumsum(counts, axis=0, out=counts)
     block = np.frexp(n)[1]  # non-negative exponents
     slot = np.empty(len(k), dtype=np.int64)  # each row's position in its block
     # Block 0 holds the authors without papers, whose every measure is 0.

@@ -13,6 +13,7 @@ import reference_indices as reference
 from scimetrics.corpus import (
     AuthorCorpus,
     AuthorProfile,
+    CorpusArrays,
     PublicationRecord,
     snapshot_at,
 )
@@ -153,9 +154,34 @@ class TestMeasureColumns:
         vector = reference.CitationVector(entries, (1, 1, 1))
         assert reference.c_index(vector) == 1e16
         assert reference.mu_index(vector) == 1e16 / 3
-        # Citations are integers, so the fractional sums are where order
-        # shows: 2^31 - 1 plus three thirds, one at a time, rounds to
-        # 2147483647.9999998, where the exact sum is 2^31.
+        # The same order shows in the raw layout past 2^53: a paper cited
+        # 2^53 + 4 times (2^22 events of 2^31 - 1 and one of 2^22 + 4; one
+        # year sums in int64) plus two papers cited once sums to 2^53 + 4
+        # left to right, where the exact sum is 2^53 + 6.
+        big = 2**53 + 4
+        events = 2**22 + 1
+        counts = np.full(events, 2**31 - 1, dtype=np.int32)
+        counts[-1] = 2**22 + 4
+        arrays = CorpusArrays(
+            index={"a": 0}, names=["a"], fields=["other"],
+            starts=np.array([0, 3]), pub_id=["p0", "p1", "p2"],
+            effective_year=np.full(3, 2000, dtype=np.int32),
+            author_count=np.ones(3, dtype=np.int32),
+            event_start=np.array([0, events, events + 1, events + 2]),
+            event_year=np.full(events + 2, 2000, dtype=np.int32),
+            event_count=np.append(counts, np.int32([1, 1])),
+        )
+        snap = snapshot_at(AuthorCorpus.from_columns(arrays, {}, {}), 2000)
+        assert snap.citations.tolist() == [big, 1, 1]
+        assert math.fsum([big, 1, 1]) == big + 2
+        columns = measure_columns(snap, ["a"], list(Measure))
+        values = reference.compute_all("a", snap)
+        assert [columns[m] for m in Measure] == [[values[m]] for m in Measure]
+        assert columns[Measure.C] == [big]
+        assert columns[Measure.MU] == [big / 3]
+        # The fractional sums show it at small counts: 2^31 - 1 plus three
+        # thirds, one at a time, rounds to 2147483647.9999998, where the
+        # exact sum is 2^31.
         pubs = (PublicationRecord("p0", 2000, 1, {2000: 2**31 - 1}),) + tuple(
             PublicationRecord(f"p{j}", 2000, 3, {2000: 1}) for j in range(1, 4)
         )
@@ -167,7 +193,6 @@ class TestMeasureColumns:
         assert math.fsum([2**31 - 1] + [1 / 3] * 3) == 2**31 != sequential
         assert columns[Measure.C_FRAC] == [values[Measure.C_FRAC]] == [sequential]
         assert columns[Measure.MU_FRAC] == [values[Measure.MU_FRAC]] == [sequential / 4]
-        assert columns[Measure.C] == [values[Measure.C]] == [2**31 + 2]
 
     def test_memory_is_not_authors_times_widest_author(self):
         # One 2,000-paper author among 2,000 ten-paper authors: a single
