@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -94,6 +95,20 @@ def _parse_year_range(spec: str) -> tuple[int, int]:
         return int(start), int(end)
     except ValueError:
         raise ValueError(f"bad year range {spec!r}; expected START:END") from None
+
+
+def _parse_years(spec: str) -> list[int]:
+    """The distinct years of a comma-separated list, in its order."""
+    years = []
+    for item in spec.split(","):
+        try:
+            year = int(item)
+        except ValueError:
+            raise ValueError(f"--years: {item!r} is not a year") from None
+        if year in years:
+            raise ValueError(f"--years: {year} is listed twice")
+        years.append(year)
+    return years
 
 
 def _csv_text(rows: list[list[str]]) -> str:
@@ -272,7 +287,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
 def cmd_corr_matrix(args: argparse.Namespace) -> int:
     corpus, _ = _load_corpus(args.corpus)
     measures = _parse_measures(args.measures)
-    years = [int(y) for y in args.years.split(",")]
+    years = _parse_years(args.years)
     out_dir = Path(args.out)
     outputs: dict[Path, str] = {}
     for year in years:
@@ -295,6 +310,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ValueError(f"{args.config}: a synth config must be a JSON object")
+        known = {f.name for f in dataclasses.fields(synth.SynthConfig)}
+        unknown = set(overrides) - known
+        if unknown:
+            raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")
     if args.seed is not None:
         overrides["rng_seed"] = args.seed
     config = synth.SynthConfig(**overrides)

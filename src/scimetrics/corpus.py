@@ -111,6 +111,8 @@ class AuthorCorpus:
         catalog: dict[str, AwardCatalogEntry],
     ) -> None:
         for author_id, author_grants in grants.items():
+            if author_id not in arrays.index:
+                raise ValueError(f"grants for unknown author {author_id!r}")
             for grant in author_grants:
                 if grant.award_id not in catalog:
                     raise ValueError(
@@ -173,16 +175,6 @@ class CorpusArrays:
     event_start: np.ndarray  # int64, one more than there are publications
     event_year: np.ndarray  # int32 per citation event
     event_count: np.ndarray  # int32 per citation event
-
-    @cached_property
-    def cited(self) -> tuple[np.ndarray, np.ndarray]:
-        """Which publications have citation events, and where each such one's
-        events begin: the indices for a reduceat over the event columns.
-        reduceat reads an empty run as the event after it, and a trailing one
-        as out of range, so uncited publications are left out."""
-        start = self.event_start
-        cited = start[:-1] < start[1:]
-        return cited, start[:-1][cited]
 
     def citations(
         self, first: int, last: int

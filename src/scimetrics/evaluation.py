@@ -119,10 +119,10 @@ def award_scores(
 ) -> dict[str, float]:
     """Per-author award score counting grants conferred up to `year`."""
     retained = _retained_award_ids(corpus, scheme)
-    scores: dict[str, float] = {}
-    for author_id in corpus.arrays.index:
+    scores = dict.fromkeys(corpus.arrays.index, 0.0)
+    for author_id, grants in corpus.grants.items():
         total = 0.0
-        for grant in corpus.grants.get(author_id, ()):
+        for grant in grants:
             if grant.year_conferred > year or grant.award_id not in retained:
                 continue
             if (

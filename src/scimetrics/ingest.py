@@ -196,11 +196,12 @@ def parse_authors(path: str | Path) -> tuple[CorpusArrays, CleaningReport, bytes
     hashed as they are read."""
     columns = ColumnBuilder()
     report = CleaningReport()
-    raw = _HashingReader(path)
-    # open()'s own text layers: universal newlines, "\r" included.
-    with io.TextIOWrapper(
-        io.BufferedReader(raw), encoding="utf-8", errors="surrogateescape"
-    ) as fh:
+    with open(path, "rb", buffering=0) as file:
+        raw = _HashingReader(file)
+        # open()'s own text layers: universal newlines, "\r" included.
+        fh = io.TextIOWrapper(
+            io.BufferedReader(raw), encoding="utf-8", errors="surrogateescape"
+        )
         for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
             if not line.strip():
                 continue
@@ -219,11 +220,11 @@ def parse_authors(path: str | Path) -> tuple[CorpusArrays, CleaningReport, bytes
 
 
 class _HashingReader(io.RawIOBase):
-    """A file read as raw bytes, which are hashed into `sha` as they are
-    read."""
+    """A raw file, opened and closed by the caller, whose bytes are hashed
+    into `sha` as they are read."""
 
-    def __init__(self, path: str | Path) -> None:
-        self._file = open(path, "rb", buffering=0)
+    def __init__(self, file: BinaryIO) -> None:
+        self._file = file
         self.sha = hashlib.sha256()
 
     def readable(self) -> bool:
@@ -233,10 +234,6 @@ class _HashingReader(io.RawIOBase):
         n = self._file.readinto(buffer)
         self.sha.update(memoryview(buffer)[:n])
         return n
-
-    def close(self) -> None:
-        self._file.close()
-        super().close()
 
 
 def cache_path(path: str | Path) -> Path:
@@ -258,11 +255,11 @@ def _code_key() -> bytes:
 
 def _sha256(path: str | Path) -> bytes:
     """The digest `parse_authors` returns for the file at `path`."""
-    buffer = bytearray(1 << 20)
-    with _HashingReader(path) as raw:
-        while raw.readinto(buffer):
-            pass
-        return raw.sha.digest()
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            sha.update(block)
+    return sha.digest()
 
 
 # Every member of a column cache, in the order a hit reads them, each a
@@ -333,31 +330,28 @@ def _write_cache(
 def _read_cache(
     cache: Path, path: str | Path
 ) -> tuple[CorpusArrays, CleaningReport] | None:
-    """The columns and report kept in `cache`, or None unless it is an npz
-    of every member with its dtype and a consistent length, written by this
-    loader's code from the bytes now at `path`.  Nothing is unpickled."""
+    """The columns and report kept in `cache`, or None unless it is a zip of
+    every member with its dtype and a consistent length, written by this
+    loader's code from the bytes now at `path`.  The members are read
+    through the zip and .npy layers `_write_cache` writes with, so nothing
+    is unpickled, and the file is closed on every path."""
     try:
-        npz = np.load(cache, allow_pickle=False)
+        with zipfile.ZipFile(cache) as zf:
+            return _cached_columns(zf, path)
     except _CACHE_FAULTS:
         return None
-    if not isinstance(npz, np.lib.npyio.NpzFile):
-        return None
-    with npz:
-        try:
-            return _cached_columns(npz, path)
-        except _CACHE_FAULTS:
-            return None
 
 
 def _cached_columns(
-    npz: np.lib.npyio.NpzFile, path: str | Path
+    zf: zipfile.ZipFile, path: str | Path
 ) -> tuple[CorpusArrays, CleaningReport] | None:
-    """`_read_cache` of an open npz; a member that is not as `_write_cache`
+    """`_read_cache` of an open zip; a member that is not as `_write_cache`
     writes it is a ValueError.  The strings are cut before the citation
     events are read, so that a hit peaks lower than a parse."""
 
     def member(name: str) -> np.ndarray:
-        array = npz[name]
+        with zf.open(f"{name}.npy") as fh:
+            array = np.lib.format.read_array(fh, allow_pickle=False)
         if array.dtype != _CACHE_DTYPES[name] or array.ndim != 1:
             raise ValueError(f"column cache member {name} is {array.dtype}")
         return array
@@ -451,10 +445,13 @@ def _backdate(arrays: CorpusArrays) -> None:
     citation year where that is earlier, which repairs records cited before
     their listed date.  This is the only place the rule is applied: the
     column pass and `_walk` both append declared years."""
-    cited, first_event = arrays.cited
+    # reduceat reads an empty run as the event after it, and a trailing one
+    # as out of range, so uncited publications are left out.
+    start = arrays.event_start
+    cited = start[:-1] < start[1:]
     years = arrays.effective_year
     years[cited] = np.minimum(
-        years[cited], np.minimum.reduceat(arrays.event_year, first_event)
+        years[cited], np.minimum.reduceat(arrays.event_year, start[:-1][cited])
     )
 
 

@@ -11,7 +11,9 @@ index-vs-award correlations are meaningful by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,6 +29,14 @@ from .indices import Measure, measure_table
 
 REGIMES = ("classic", "growing", "hyper")
 LATENT_SCORES = ("c-frac", "h")
+
+# The values each SynthConfig field takes, by its annotation: an integer is a
+# number too, but a bool is neither.
+_FIELD_KINDS = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a finite number"),
+    "str": (str, "a string"),
+}
 
 
 @dataclass(frozen=True)
@@ -50,6 +60,18 @@ class SynthConfig:
     latent_reputation: str = "c-frac"
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, noun = _FIELD_KINDS[f.type]
+            value = getattr(self, f.name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, kind)
+                # NaN, infinities and integers beyond float64 alike
+                or (kind is numbers.Real and not abs(value) <= sys.float_info.max)
+            ):
+                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         if self.n_authors < 0:
             raise ValueError("n_authors must be >= 0")
         lo, hi = VALID_YEAR_RANGE

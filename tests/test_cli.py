@@ -432,6 +432,18 @@ class TestCorrMatrix:
         rows = read_csv(out / "corr_2010.csv")
         assert rows[1][1:] == ["", ""]
 
+    @pytest.mark.parametrize(
+        "years, message",
+        [("2015,x", "--years: 'x' is not a year"),
+         ("2015,2015", "--years: 2015 is listed twice")],
+    )
+    def test_bad_years_rejected(self, corpus_dir, tmp_path, capsys, years, message):
+        out = tmp_path / "corr"
+        assert main(["corr-matrix", "--corpus", str(corpus_dir), "--years", years,
+                     "--measures", "h,c", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestSynthCommand:
     def test_determinism(self, tmp_path):
@@ -446,6 +458,37 @@ class TestSynthCommand:
             assert (tmp_path / "a" / fname).read_bytes() == (
                 tmp_path / "b" / fname
             ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n_author": 5}', "{config}: unknown config keys ['n_author']"),
+            ("[1, 2]", "{config}: a synth config must be a JSON object"),
+            ('{"n_authors": "5"}', "n_authors must be an integer, got '5'"),
+            ('{"n_authors": 2.5}', "n_authors must be an integer, got 2.5"),
+            ('{"n_authors": true}', "n_authors must be an integer, got True"),
+            ('{"pubs_per_year": NaN}',
+             "pubs_per_year must be a finite number, got nan"),
+            ('{"hyper_team_mean": Infinity}',
+             "hyper_team_mean must be a finite number, got inf"),
+            ('{"team_size_regime": 3}', "team_size_regime must be a string, got 3"),
+            ('{"pubs_per_year": 1%s}' % ("0" * 400),
+             "pubs_per_year must be a finite number, got 1%s" % ("0" * 400)),
+            ('{"rng_seed": -1}', "rng_seed must be >= 0"),
+        ],
+    )
+    def test_config_it_cannot_use_names_the_key(self, tmp_path, capsys, text, message):
+        config, out = tmp_path / "config.json", tmp_path / "c"
+        config.write_text(text)
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(config=config)}\n"
+        assert not out.exists()
+
+    def test_integer_for_a_rate(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"n_authors": 5, "pubs_per_year": 2}')
+        out = tmp_path / "c"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
 
     def test_generated_files_reingest_cleanly(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -8,6 +8,7 @@ import json
 import os
 import pickle
 import stat
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +50,11 @@ def load_twice(path, parses):
     expected = columns_and_report(*parse_authors(path)[:2])
     assert columns_and_report(*load_authors(path)) == expected
     assert parses == [path] and cache_path(path).is_file()
-    assert columns_and_report(*load_authors(path)) == expected
+    hit = load_authors(path)
+    assert columns_and_report(*hit) == expected
     assert parses == [path]
+    columns = vars(hit[0]).values()
+    assert all(c.flags.writeable for c in columns if isinstance(c, np.ndarray))
     return expected
 
 
@@ -224,6 +228,14 @@ class TestMissRewrites:
     def test_npy_in_place_of_the_npz(self, path, parses):
         with open(cache_path(path), "wb") as fh:
             np.save(fh, np.arange(3))
+        self.assert_missed(path, parses)
+
+    def test_member_that_is_not_an_npy(self, path, parses):
+        with zipfile.ZipFile(cache_path(path)) as zf:
+            members = {name: zf.read(name) for name in zf.namelist()}
+        with zipfile.ZipFile(cache_path(path), "w") as zf:
+            for name, data in members.items():
+                zf.writestr(name, b"not an npy" if name == "code.npy" else data)
         self.assert_missed(path, parses)
 
 

@@ -97,3 +97,9 @@ def test_no_pipeline_path_builds_the_view(tmp_path, no_profiles):
          "--out", str(cli / "corr")],
     ):
         assert main(argv) == 0, argv
+
+
+def test_grants_for_an_author_not_in_the_columns_are_rejected():
+    arrays = AuthorCorpus({"a1": AuthorProfile("a1", "A", "f", ())}).arrays
+    with pytest.raises(ValueError, match="^grants for unknown author 'a2'$"):
+        AuthorCorpus.from_columns(arrays, {"a2": []}, {})

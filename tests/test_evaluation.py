@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 import reference_indices
+from scimetrics import evaluation
 from scimetrics.corpus import (
     AuthorCorpus,
     AuthorProfile,
@@ -115,6 +116,28 @@ class TestAwardScores:
         scores = award_scores(corpus, 2010, AwardScheme(mode="binary"))
         assert set(scores.values()) <= {0.0, 1.0}
         assert scores["a1"] == 1 and scores["a2"] == 0
+
+    @pytest.mark.parametrize("mode", AWARD_MODES)
+    def test_every_author_in_corpus_order(self, mode):
+        # Authors without grants score 0; each holder's grants add in their
+        # stored order, so the floats equal a walk over every author.
+        corpus = seeded_corpus()
+        scheme = AwardScheme(mode=mode, subset_fraction=0.5, selective_threshold=50)
+        retained = evaluation._retained_award_ids(corpus, scheme)
+        assert 0 < len(retained) < len(corpus.catalog)
+        for year in (1985, 2000, 2015):
+            expected = {}
+            for author_id in corpus.arrays.index:
+                total = 0.0
+                for grant in corpus.grants.get(author_id, ()):
+                    if grant.year_conferred <= year and grant.award_id in retained:
+                        laureates = corpus.catalog[grant.award_id].total_laureates
+                        selective = mode == "selective_weight" and laureates <= 50
+                        total += scheme.selective_factor if selective else 1.0
+                expected[author_id] = float(total > 0) if mode == "binary" else total
+            scores = award_scores(corpus, year, scheme)
+            assert list(scores.items()) == list(expected.items())
+        assert any(scores.values())
 
     def test_subset_determinism(self):
         corpus = seeded_corpus()
