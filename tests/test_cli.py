@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -537,3 +538,58 @@ def test_commands_leave_numpy_ma_unimported(argv, corpus_dir, tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0, result.stderr
+
+
+# SHA-256 of each command's output CSVs, path and bytes in path order, on a
+# seeded hyper corpus of 40 authors.  At --max-avg-authors 15,
+# no_hyperauthors keeps all 40 authors through 1999, fewer from 2000 on, 3
+# at 2010 and none from 2011, so the evaluate runs hold kept sets that change
+# by year and years with no author left.  Any change to a value, a gap or
+# its formatting changes these.
+PINNED_OUTPUT_DIGESTS = {
+    "evaluate-all":
+        "9171165da463ddf36c489ce4a28b12a970cb12f3559f3710099400240a921a89",
+    "evaluate-no_hyperauthors":
+        "aefcae02aedaf0e6ba454c39d47cf09d1c87279312a9323c97021014c9a04e7a",
+    "evaluate-bottom_half_citations":
+        "49f4a8a7286fbbfa0b0069c8eb42c09befae4567f2c1a9e587a7168cc2a2d1de",
+    "evaluate-peak_in_window":
+        "7dbc348fbfaac6cd3a092e63953a34ab3e287c0b0a3340c59b6f2ac32bc6e2d4",
+    "indices":
+        "1332616e9287db40b2799005badbd4138309ee22126a133b2689612c65719ea0",
+    "roc":
+        "e55b836e7f59dd47a3e2d82d0569dbb293057d77d1d1aca6c45d639cc7991d37",
+    "corr-matrix":
+        "bb6887b5da0790cd77aef8662ee0487d080253b457ce58d21725fc9fabf66497",
+}
+_EVALUATE = ["evaluate", "--measures", "all", "--criteria",
+             "tau_b,auc,somers_d,gamma,rho", "--years", "1995:2014",
+             "--horizon", "5", "--max-avg-authors", "15"]
+PINNED_COMMANDS = {
+    **{f"evaluate-{mode}": [*_EVALUATE, "--filter", mode]
+       for mode in evaluation.FILTER_MODES},
+    "indices": ["indices", "--year", "2010"],
+    "roc": ["roc", "--year", "2015"],
+    "corr-matrix": ["corr-matrix", "--years", "2005,2015"],
+}
+
+
+@pytest.fixture(scope="module")
+def hyper_corpus_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("hyper")
+    save_corpus(
+        generate(SynthConfig(rng_seed=0, n_authors=40, team_size_regime="hyper")), out
+    )
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COMMANDS))
+def test_output_bytes_are_pinned(name, hyper_corpus_dir, tmp_path):
+    out = tmp_path / name
+    argv = [*PINNED_COMMANDS[name], "--corpus", str(hyper_corpus_dir)]
+    target = out / "indices.csv" if name == "indices" else out
+    assert main([*argv, "--out", str(target)]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(out.glob("*.csv")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == PINNED_OUTPUT_DIGESTS[name]
