@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, ingest, rankcorr, synth
-from .corpus import AuthorCorpus, snapshot_at
+from .corpus import AuthorCorpus
 from .errors import DegenerateInputError, ParseError
 from .evaluation import AuthorFilter, AwardScheme
-from .indices import Measure, measure_columns
+from .indices import Measure, measure_table
 
 ALL_MEASURES = [m.value for m in Measure]
 
@@ -74,12 +74,20 @@ def _load_corpus(corpus_path: str) -> tuple[AuthorCorpus, ingest.CleaningReport]
     return ingest.load_corpus(path)
 
 
+def _parse_names(flag: str, spec: str) -> list[str]:
+    """The comma-separated names of `spec`; a repeat is an error naming `flag`."""
+    names = [name.strip() for name in spec.split(",")]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"{flag}: {name} is listed twice")
+    return names
+
+
 def _parse_measures(spec: str) -> list[Measure]:
     if spec == "all":
         return list(Measure)
     measures = []
-    for name in spec.split(","):
-        name = name.strip()
+    for name in _parse_names("--measures", spec):
         try:
             measures.append(Measure(name))
         except ValueError:
@@ -136,8 +144,8 @@ def cmd_indices(args: argparse.Namespace) -> int:
     corpus, _ = _load_corpus(args.corpus)
     measures = _parse_measures(args.measures)
     ids = sorted(corpus.arrays.index)
-    columns = measure_columns(snapshot_at(corpus, args.year), ids, measures)
-    cells = _fmt_all([columns[m] for m in measures]).T.tolist()
+    columns = measure_table(corpus, [args.year], ids, measures)[0]
+    cells = _fmt_all(columns).T.tolist()
     rows = [["author_id"] + [m.value for m in measures]]
     rows += [[author_id, *row] for author_id, row in zip(ids, cells)]
     _atomic_write(Path(args.out), _csv_text(rows))
@@ -231,7 +239,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     scheme, author_filter = _scheme_from_args(args), _filter_from_args(args)
     corpus, _ = _load_corpus(args.corpus)
     measures = _parse_measures(args.measures)
-    criteria = [c.strip() for c in args.criteria.split(",")]
+    criteria = _parse_names("--criteria", args.criteria)
     grid = evaluation.series_grid(
         corpus, measures, criteria, _parse_year_range(args.years),
         horizon=args.horizon, scheme=scheme, author_filter=author_filter,
@@ -261,11 +269,11 @@ def cmd_roc(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     summary = [["measure", "auc", "status"]]
     outputs: dict[Path, str] = {}
-    columns = measure_columns(snapshot_at(corpus, args.year), ids, measures)
+    columns = measure_table(corpus, [args.year], ids, measures)[0]
     curves = {}
-    for measure in measures:
+    for measure, column in zip(measures, columns):
         try:
-            curves[measure] = curve = rankcorr.roc_curve(columns[measure], awards)
+            curves[measure] = curve = rankcorr.roc_curve(column, awards)
         except DegenerateInputError:
             summary.append([measure.value, "", "degenerate"])
         else:

@@ -275,11 +275,17 @@ def outside_int32(what: str, value: int) -> str:
 _EVENT_CHUNK = 2**15
 
 
-def check_year(year: int) -> None:
-    """Raise a ValueError unless a snapshot can observe `year`."""
+def check_years(years: Sequence[int]) -> np.ndarray:
+    """`years` as int64; a ValueError unless they ascend and a snapshot can
+    observe each."""
+    years = np.asarray(years, dtype=np.int64)
     lo, hi = VALID_YEAR_RANGE
-    if not lo <= year <= hi:
-        raise ValueError(f"snapshot year {year} outside valid range [{lo}, {hi}]")
+    for year in years.tolist():
+        if not lo <= year <= hi:
+            raise ValueError(f"snapshot year {year} outside valid range [{lo}, {hi}]")
+    if np.any(np.diff(years) <= 0):
+        raise ValueError(f"years must ascend, got {years.tolist()}")
+    return years
 
 
 def citations_through(
@@ -352,13 +358,6 @@ class Snapshot:
         years = np.array([self.observation_year])
         return citations_through(arrays, 0, len(arrays.pub_id), years)[0]
 
-    def in_view(self, ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """(row, pub) of every publication in view of the authors `ids`,
-        where row is the author's position in `ids`; grouped by row, in
-        publication order within a row."""
-        arrays = self.corpus.arrays
-        return in_view(arrays, author_positions(arrays, ids), self.observation_year)
-
 
 def author_positions(arrays: CorpusArrays, ids: list[str]) -> np.ndarray:
     """The corpus position of each of `ids`; an unknown id is a KeyError."""
@@ -389,5 +388,5 @@ def snapshot_at(corpus: AuthorCorpus, year: int) -> Snapshot:
     Authors with no publications yet remain present with empty sets.  No
     per-publication work is done until `Snapshot.citations` is read.
     """
-    check_year(year)
+    check_years([year])
     return Snapshot(observation_year=year, corpus=corpus)

@@ -5,15 +5,16 @@ correlation matrices."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import rankcorr
-from .corpus import AuthorCorpus, Snapshot, snapshot_at
+from .corpus import AuthorCorpus, author_positions, check_years
 from .errors import DegenerateInputError
-from .indices import Measure, measure_columns, measure_table
+from .indices import Measure, measure_table
 
 AWARD_MODES = ("equal_weight", "selective_weight", "binary")
 FILTER_MODES = ("all", "no_hyperauthors", "bottom_half_citations", "peak_in_window")
@@ -140,50 +141,54 @@ def award_scores(
 
 
 def apply_filter(
-    corpus: AuthorCorpus, snapshot: Snapshot, author_filter: AuthorFilter
-) -> list[str]:
-    """Author subset (sorted by id) surviving a robustness filter."""
-    ids = sorted(snapshot.corpus.arrays.index)
+    corpus: AuthorCorpus, years: Sequence[int], author_filter: AuthorFilter
+) -> np.ndarray:
+    """(len(years), n_authors) bool: whether a robustness filter keeps each
+    author, authors in id order, at the end of each of the ascending
+    `years`."""
+    years = check_years(years)
+    arrays = corpus.arrays
+    ids = sorted(arrays.index)
     if author_filter.mode == "all":
-        kept = ids
-    elif author_filter.mode == "no_hyperauthors":
-        # Integer sums in float64, exact; the mean rounds as int / int does.
-        row, pub = snapshot.in_view(ids)
-        papers = np.bincount(row, minlength=len(ids))
-        authors = np.bincount(
-            row, weights=snapshot.corpus.arrays.author_count[pub], minlength=len(ids)
+        return np.ones((len(years), len(ids)), dtype=bool)
+    if author_filter.mode == "bottom_half_citations":
+        totals = measure_table(corpus, years, ids, [Measure.C])[:, 0]
+        ranked = np.argsort(totals, axis=1, kind="stable")  # ties by id
+        keep = np.zeros(totals.shape, dtype=bool)
+        np.put_along_axis(keep, ranked[:, : len(ids) // 2], True, axis=1)
+        return keep
+    # Authors in corpus order here, put in id order at the end.
+    n = len(arrays.names)
+    author = np.repeat(np.arange(n), np.diff(arrays.starts))  # of each paper
+    year = arrays.effective_year.astype(np.int64)
+    if author_filter.mode == "no_hyperauthors":
+        # Papers and their author counts by the first of `years` each paper
+        # counts in, then summed over the years.  Integer sums in float64,
+        # exact; the mean rounds as int / int does.
+        key = np.searchsorted(years, year) * n + author
+        shape = (len(years) + 1, n)  # the last row counts in none of them
+        papers, authors = (
+            np.bincount(key, weights, shape[0] * shape[1])
+            .reshape(shape)[:-1]
+            .cumsum(axis=0)
+            for weights in (None, arrays.author_count)
         )
         mean = np.where(papers > 0, authors / np.maximum(papers, 1), 0.0)
-        kept = [
-            a for a, v in zip(ids, mean.tolist()) if v <= author_filter.max_avg_authors
-        ]
-    elif author_filter.mode == "bottom_half_citations":
-        row, pub = snapshot.in_view(ids)
-        totals = np.bincount(row, weights=snapshot.citations[pub], minlength=len(ids))
-        ranked = np.argsort(totals, kind="stable")  # ties by id, as ids are sorted
-        kept = [ids[i] for i in np.sort(ranked[: len(ids) // 2])]
+        keep = mean <= author_filter.max_avg_authors
     else:  # peak_in_window, judged on the full corpus history
         # Each author's busiest year, the earliest of ties: one count per
         # (author, year) pair that has publications.
-        arrays = corpus.arrays
         start, end = author_filter.window
-        author = np.repeat(np.arange(len(arrays.names)), np.diff(arrays.starts))
-        year = arrays.effective_year.astype(np.int64)
         low = year.min(initial=0)
         span = year.max(initial=0) - low + 1
         pair, count = np.unique(author * span + (year - low), return_counts=True)
         owner, year = pair // span, pair % span + low
         best = np.lexsort((year, -count, owner))
         peak = best[np.diff(owner[best], prepend=-1) > 0]
-        in_window = np.zeros(len(arrays.names), dtype=bool)
+        in_window = np.zeros(n, dtype=bool)
         in_window[owner[peak]] = (start <= year[peak]) & (year[peak] < end)
-        kept = [a for a in ids if in_window[arrays.index[a]]]
-    if not kept:
-        raise DegenerateInputError(
-            f"filter {author_filter.mode!r} leaves no authors at "
-            f"{snapshot.observation_year}"
-        )
-    return kept
+        keep = np.broadcast_to(in_window, (len(years), n))
+    return keep[:, author_positions(arrays, ids)]
 
 
 def apply_criterion(criterion: str, measure_values, award_values) -> float:
@@ -238,13 +243,13 @@ def series_grid(
 ) -> dict[tuple[Measure, str], EvaluationSeries]:
     """Per-year evaluation of every (measure, criterion) over [start, end].
 
-    Each year's snapshot, filter and award scores (by year + horizon) are
-    built once and shared by all cells.  One `measure_table` over the whole
-    run of years gives the measure values of every author a filter keeps in
-    any year; each year's columns and their ranks are then shared by all
-    cells, and so are the pair counts of each (measure, awards) pair.  This
-    is the one place a year becomes criterion values: a degenerate cell is
-    a gap, and its gap reason says why.
+    One `apply_filter` gives the authors the filter keeps at each year, and
+    one `measure_table` over the whole run of years the measure values of
+    every author it keeps in any year; each year's columns and award scores
+    (by year + horizon), masked to that year's authors, and their ranks are
+    then shared by all cells, and so are the pair counts of each (measure,
+    awards) pair.  This is the one place a year becomes criterion values: a
+    degenerate cell is a gap, and its gap reason says why.
     """
     start, end = year_range
     if start > end:
@@ -255,39 +260,29 @@ def series_grid(
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}")
     years = tuple(range(start, end + 1))
-    kept: dict[int, list[str]] = {}  # the authors of each year the filter keeps
-    gaps: dict[int, str] = {}
-    for year in years:
-        try:
-            kept[year] = apply_filter(
-                corpus, snapshot_at(corpus, year), author_filter
-            )
-        except DegenerateInputError as exc:  # the filter keeps nobody
-            gaps[year] = str(exc)
-    union = sorted(set().union(*kept.values()))
-    position = {a: i for i, a in enumerate(union)}
-    table = dict(zip(kept, measure_table(corpus, list(kept), union, measures)))
+    keep = apply_filter(corpus, years, author_filter)
+    held = keep.any(axis=0)
+    ids = [a for a, h in zip(sorted(corpus.arrays.index), held.tolist()) if h]
+    keep = keep[:, held]
+    table = measure_table(corpus, years, ids, measures)
     values: dict[tuple[Measure, str], list[float | None]] = {
         (m, c): [] for m in measures for c in criteria
     }
     reasons: dict[tuple[Measure, str], list[str | None]] = {k: [] for k in values}
-    counts = []
-    for year in years:
-        ids = kept.get(year, [])
-        counts.append(len(ids))
-        gap = gaps.get(year)
-        if gap is None and len(ids) < 2:
+    counts = keep.sum(axis=1).tolist()
+    for year, row, count, columns in zip(years, keep, counts, table):
+        gap = None
+        if count == 0:
+            gap = f"filter {author_filter.mode!r} leaves no authors at {year}"
+        elif count < 2:
             gap = f"fewer than 2 authors at year {year} after filtering"
-        if gap is None:
+        else:
             scores = award_scores(corpus, year + horizon, scheme)
-            awards = np.array([scores[a] for a in ids], dtype=float)
+            awards = np.array([scores[a] for a in ids], dtype=float)[row]
             award_ranks = rankcorr.dense_ranks(awards)
-            columns = table[year]
-            if ids != union:
-                columns = columns[:, [position[a] for a in ids]]
             pairs = {
                 m: _Pair(column, awards, award_ranks)
-                for m, column in zip(measures, columns)
+                for m, column in zip(measures, columns[:, row])
             }
         for (measure, criterion), cell in values.items():
             value, reason = None, gap
@@ -333,8 +328,8 @@ def measure_correlation_matrix(
     ids = sorted(corpus.arrays.index)
     if len(ids) < 2:
         raise DegenerateInputError("need at least 2 authors")
-    columns = measure_columns(snapshot_at(corpus, year), ids, measures)
-    ranks = [rankcorr.dense_ranks(columns[m]) for m in measures]
+    columns = measure_table(corpus, [year], ids, measures)[0]
+    ranks = [rankcorr.dense_ranks(column) for column in columns]
     k = len(measures)
     matrix = np.full((k, k), np.nan)
     for i in range(k):

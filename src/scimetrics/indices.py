@@ -21,7 +21,7 @@ from .corpus import (
     CorpusArrays,
     Snapshot,
     author_positions,
-    check_year,
+    check_years,
     citations_through,
     in_view,
     runs,
@@ -190,11 +190,7 @@ def measure_table(
     stays O(authors x years) plus bounded transients, however many papers
     the most prolific author has.
     """
-    years = np.asarray(years, dtype=np.int64)
-    for year in years.tolist():
-        check_year(year)
-    if np.any(np.diff(years) <= 0):
-        raise ValueError(f"years must ascend, got {years.tolist()}")
+    years = check_years(years)
     arrays = corpus.arrays
     k = author_positions(arrays, ids)
     out = np.zeros((len(years), len(measures), len(ids)))

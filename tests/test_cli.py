@@ -13,7 +13,8 @@ import pytest
 import reference_indices
 from scimetrics import effectiveness, evaluation, rankcorr, snapshot_at
 from scimetrics.cli import main
-from scimetrics.indices import Measure
+from scimetrics.corpus import Snapshot
+from scimetrics.indices import Measure, measure_table
 from scimetrics.ingest import load_corpus, save_corpus
 from scimetrics.synth import SynthConfig, generate
 
@@ -294,19 +295,27 @@ class TestEvaluate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_each_year_snapshotted_once(self, corpus_dir, tmp_path, monkeypatch):
-        years = []
+    def test_one_measure_table_over_the_years(
+        self, corpus_dir, tmp_path, monkeypatch
+    ):
+        calls = []
 
-        def counting_snapshot_at(corpus, year):
-            years.append(year)
-            return snapshot_at(corpus, year)
+        def counting_measure_table(corpus, years, ids, measures):
+            calls.append((list(years), list(measures)))
+            return measure_table(corpus, years, ids, measures)
 
-        monkeypatch.setattr(evaluation, "snapshot_at", counting_snapshot_at)
-        # 3 measures x 2 criteria x 6 years: one snapshot per year, not per cell.
+        monkeypatch.setattr(evaluation, "measure_table", counting_measure_table)
+        monkeypatch.setattr(
+            Snapshot, "__init__", lambda *_: pytest.fail("snapshot built")
+        )
+        # 3 measures x 2 criteria x 6 years: one table for all years and
+        # cells, and no snapshot.
         assert main(["evaluate", "--corpus", str(corpus_dir),
                      "--measures", "h,h-frac,c", "--criteria", "tau_b,auc",
                      "--years", "2003:2008", "--out", str(tmp_path / "eval")]) == 0
-        assert years == list(range(2003, 2009))
+        assert calls == [
+            (list(range(2003, 2009)), [Measure.H, Measure.H_FRAC, Measure.C])
+        ]
 
     def test_gap_years_serialized_empty(self, corpus_dir, tmp_path):
         out = tmp_path / "eval"
@@ -445,6 +454,31 @@ class TestCorrMatrix:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["indices", "--year", "2010", "--measures", "h, c,h"],
+         "--measures: h is listed twice"),
+        (["roc", "--year", "2010", "--measures", "h-frac,h-frac"],
+         "--measures: h-frac is listed twice"),
+        (["corr-matrix", "--years", "2010", "--measures", "c,h,c"],
+         "--measures: c is listed twice"),
+        (["evaluate", "--years", "2005:2006", "--measures", "h,h"],
+         "--measures: h is listed twice"),
+        (["evaluate", "--years", "2005:2006", "--criteria", "auc,tau_b, auc"],
+         "--criteria: auc is listed twice"),
+    ],
+    ids=["indices", "roc", "corr-matrix", "evaluate-measures", "evaluate-criteria"],
+)
+def test_repeated_names_rejected(argv, message, corpus_dir, tmp_path, capsys):
+    # A repeat would write two columns or rows of one name, or silently
+    # collapse into one CSV.
+    out = tmp_path / "out"
+    assert main([*argv, "--corpus", str(corpus_dir), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 class TestSynthCommand:
     def test_determinism(self, tmp_path):

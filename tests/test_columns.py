@@ -1,6 +1,6 @@
-"""The columnar path (snapshot arrays, measure_columns, apply_filter) against
-the per-author reference in reference_indices.py: equal values of equal type,
-never approximately."""
+"""measure_columns, the one-year view of measure_table, and apply_filter over
+a run of years, against the per-author reference in reference_indices.py:
+equal values of equal type, never approximately."""
 
 import math
 import tracemalloc
@@ -17,8 +17,7 @@ from scimetrics.corpus import (
     PublicationRecord,
     snapshot_at,
 )
-from scimetrics.errors import DegenerateInputError
-from scimetrics.evaluation import AuthorFilter, apply_filter
+from scimetrics.evaluation import FILTER_MODES, AuthorFilter, apply_filter, series_grid
 from scimetrics.indices import Measure, measure_columns
 from scimetrics.synth import SynthConfig, generate
 
@@ -225,7 +224,9 @@ class TestApplyFilterColumns:
     @settings(max_examples=150, deadline=None)
     @given(
         corpus=tied_corpora(),
-        year=st.integers(1998, 2013),
+        years=st.lists(
+            st.integers(1998, 2013), min_size=1, max_size=4, unique=True
+        ).map(sorted),
         author_filter=st.one_of(
             st.just(AuthorFilter()),
             st.builds(
@@ -241,11 +242,48 @@ class TestApplyFilterColumns:
             ),
         ),
     )
-    def test_equal_to_per_author_computation(self, corpus, year, author_filter):
-        snap = snapshot_at(corpus, year)
-        expected = reference_filter(corpus, snap, author_filter)
-        if not expected:
-            with pytest.raises(DegenerateInputError):
-                apply_filter(corpus, snap, author_filter)
-        else:
-            assert apply_filter(corpus, snap, author_filter) == expected
+    def test_equal_to_per_author_computation(self, corpus, years, author_filter):
+        ids = sorted(corpus.authors)
+        keep = apply_filter(corpus, years, author_filter)
+        assert keep.dtype == bool and keep.shape == (len(years), len(ids))
+        for year, row in zip(years, keep.tolist()):
+            snap = snapshot_at(corpus, year)
+            kept = [a for a, k in zip(ids, row) if k]
+            assert kept == reference_filter(corpus, snap, author_filter), year
+
+    # Per filter, how many of three authors without papers it keeps, and
+    # the gap reason that leaves each year.
+    TIED = (
+        "tau_b degenerate at year {} for measure h: "
+        "tau_b undefined: a sequence is fully tied"
+    )
+    PAPERLESS = {
+        "all": (3, TIED),
+        "no_hyperauthors": (3, TIED),
+        "bottom_half_citations": (1, "fewer than 2 authors at year {} after filtering"),
+        "peak_in_window": (0, "filter 'peak_in_window' leaves no authors at {}"),
+    }
+
+    @pytest.mark.parametrize("mode", FILTER_MODES)
+    def test_empty_corpus_and_authors_without_papers(self, mode):
+        years = [2000, 2001, 2002]
+        author_filter = AuthorFilter(mode=mode)
+        paperless = AuthorCorpus(
+            authors={a: AuthorProfile(a, a, "other", ()) for a in ("a1", "a2", "a3")}
+        )
+        empty = (0, f"filter {mode!r} leaves no authors at {{}}")
+        for corpus, (kept, reason) in (
+            (AuthorCorpus(), empty), (paperless, self.PAPERLESS[mode])
+        ):
+            keep = apply_filter(corpus, years, author_filter)
+            assert keep.dtype == bool
+            assert keep.shape == (len(years), len(corpus.arrays.index))
+            assert keep.sum(axis=1).tolist() == [kept] * len(years)
+            grid = series_grid(
+                corpus, [Measure.H], ["tau_b"], (2000, 2002),
+                author_filter=author_filter,
+            )
+            cell = grid[Measure.H, "tau_b"]
+            assert cell.values == (None,) * len(years)
+            assert cell.n_authors == (kept,) * len(years)
+            assert cell.gap_reasons == tuple(reason.format(y) for y in years)

@@ -12,6 +12,8 @@ from scimetrics.corpus import (
     AuthorCorpus,
     AuthorProfile,
     PublicationRecord,
+    author_positions,
+    in_view,
     snapshot_at,
 )
 from scimetrics.ingest import load_corpus
@@ -47,7 +49,7 @@ class TestSnapshot:
             [PublicationRecord("p1", 2005, 1, {2006: 3, 2012: 7})]
         )
         snap = snapshot_at(corpus, 2010)
-        row, pub = snap.in_view(["a1"])
+        row, pub = in_view(corpus.arrays, author_positions(corpus.arrays, ["a1"]), 2010)
         assert row.tolist() == pub.tolist() == [0]
         assert snap.citations.tolist() == [3]
 
@@ -55,8 +57,7 @@ class TestSnapshot:
         corpus = single_author_corpus(
             [PublicationRecord("p1", 2005, 1, {2006: 3, 2012: 7})]
         )
-        snap = snapshot_at(corpus, 2004)
-        row, pub = snap.in_view(["a1"])
+        row, pub = in_view(corpus.arrays, author_positions(corpus.arrays, ["a1"]), 2004)
         assert row.tolist() == pub.tolist() == []
 
     def test_year_range_error(self):
@@ -79,10 +80,11 @@ class TestSnapshot:
             return total
 
         prev = -1
-        ids = list(random_corpus.authors)
+        arrays = random_corpus.arrays
+        positions = author_positions(arrays, list(random_corpus.authors))
         for year in range(1980, 2020, 4):
             snap = snapshot_at(random_corpus, year)
-            _, pub = snap.in_view(ids)
+            _, pub = in_view(arrays, positions, year)
             snap_total = sum(snap.citations[pub].tolist())
             assert snap_total == brute_totals(year)
             assert snap_total >= prev

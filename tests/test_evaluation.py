@@ -157,11 +157,16 @@ class TestAwardScores:
             AwardScheme(mode="selective_weight", selective_factor=factor)
 
 
+def kept_ids(corpus, year, author_filter):
+    """The ids apply_filter keeps at `year`, read from its one row."""
+    (row,) = apply_filter(corpus, [year], author_filter)
+    return [a for a, kept in zip(sorted(corpus.authors), row.tolist()) if kept]
+
+
 class TestApplyFilter:
     def test_all_is_identity(self):
         corpus = seeded_corpus()
-        snap = snapshot_at(corpus, 2015)
-        assert apply_filter(corpus, snap, AuthorFilter()) == sorted(corpus.authors)
+        assert kept_ids(corpus, 2015, AuthorFilter()) == sorted(corpus.authors)
 
     def test_hyperauthor_excluded(self):
         corpus = build_corpus(
@@ -170,21 +175,19 @@ class TestApplyFilter:
                 "small": [(2000, 3, {2001: 5})],
             }
         )
-        snap = snapshot_at(corpus, 2010)
-        kept = apply_filter(
-            corpus, snap, AuthorFilter(mode="no_hyperauthors", max_avg_authors=100)
+        kept = kept_ids(
+            corpus, 2010, AuthorFilter(mode="no_hyperauthors", max_avg_authors=100)
         )
         assert kept == ["small"]
 
     def test_hyperauthor_inf_threshold_equals_all(self):
         corpus = seeded_corpus()
-        snap = snapshot_at(corpus, 2015)
-        kept = apply_filter(
+        kept = kept_ids(
             corpus,
-            snap,
+            2015,
             AuthorFilter(mode="no_hyperauthors", max_avg_authors=math.inf),
         )
-        assert kept == apply_filter(corpus, snap, AuthorFilter())
+        assert kept == kept_ids(corpus, 2015, AuthorFilter())
 
     def test_bottom_half(self):
         corpus = build_corpus(
@@ -193,18 +196,12 @@ class TestApplyFilter:
                 "poor": [(2000, 1, {2001: 10})],
             }
         )
-        snap = snapshot_at(corpus, 2010)
-        kept = apply_filter(
-            corpus, snap, AuthorFilter(mode="bottom_half_citations")
-        )
+        kept = kept_ids(corpus, 2010, AuthorFilter(mode="bottom_half_citations"))
         assert kept == ["poor"]
 
     def test_bottom_half_floor(self):
         corpus = seeded_corpus()
-        snap = snapshot_at(corpus, 2015)
-        kept = apply_filter(
-            corpus, snap, AuthorFilter(mode="bottom_half_citations")
-        )
+        kept = kept_ids(corpus, 2015, AuthorFilter(mode="bottom_half_citations"))
         assert len(kept) == len(corpus.authors) // 2
 
     def test_peak_in_window(self):
@@ -214,21 +211,32 @@ class TestApplyFilter:
                 "late": [(2005, 1, {}), (2005, 1, {}), (1995, 1, {})],
             }
         )
-        snap = snapshot_at(corpus, 2020)
-        kept = apply_filter(
+        kept = kept_ids(
             corpus,
-            snap,
+            2020,
             AuthorFilter(mode="peak_in_window", window=(2000, 2010)),
         )
         assert kept == ["late"]
 
+    @pytest.mark.parametrize(
+        "years, message",
+        [([2006, 2005], "years must ascend"), ([1949], "snapshot year 1949 outside")],
+    )
+    @pytest.mark.parametrize("mode", FILTER_MODES)
+    def test_years_checked_under_every_filter(self, mode, years, message):
+        corpus = build_corpus({"a1": [(2000, 1, {2001: 1})], "a2": []})
+        with pytest.raises(ValueError, match=message):
+            apply_filter(corpus, years, AuthorFilter(mode=mode))
+
     def test_empty_result_degenerate(self):
+        # A year the filter keeps nobody at is an all-False row; series_grid
+        # makes it a gap (TestSeriesGrid pins its reason).
         corpus = build_corpus({"a1": [(2000, 500, {2001: 1})]})
-        snap = snapshot_at(corpus, 2010)
-        with pytest.raises(DegenerateInputError):
-            apply_filter(
-                corpus, snap, AuthorFilter(mode="no_hyperauthors", max_avg_authors=10)
-            )
+        keep = apply_filter(
+            corpus, [2010], AuthorFilter(mode="no_hyperauthors", max_avg_authors=10)
+        )
+        assert keep.dtype == bool and keep.shape == (1, 1)
+        assert not keep.any()
 
 
 class TestEffectiveness:
@@ -438,8 +446,8 @@ class TestSeriesGrid:
 
     def test_unknown_criterion_rejected_before_any_year(self, monkeypatch):
         monkeypatch.setattr(
-            "scimetrics.evaluation.snapshot_at",
-            lambda *_: pytest.fail("snapshot built for a bad criterion"),
+            "scimetrics.evaluation.apply_filter",
+            lambda *_: pytest.fail("filter applied for a bad criterion"),
         )
         with pytest.raises(ValueError, match="pearson"):
             series_grid(

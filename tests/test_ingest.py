@@ -9,6 +9,8 @@ from scimetrics.corpus import (
     AuthorCorpus,
     AuthorProfile,
     PublicationRecord,
+    author_positions,
+    in_view,
     snapshot_at,
 )
 from scimetrics.errors import ParseError
@@ -202,7 +204,7 @@ class TestLoadCorpus:
         assert report.rejected == 0
         assert loaded.authors["a1"].publications == pubs
         snap = snapshot_at(loaded, 1950)
-        _, pub = snap.in_view(["a1"])
+        _, pub = in_view(loaded.arrays, author_positions(loaded.arrays, ["a1"]), 1950)
         assert snap.citations[pub].tolist() == [6, 5]
 
     def test_parse_error_carries_line_number(self, tmp_path):

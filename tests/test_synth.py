@@ -4,7 +4,7 @@ import statistics
 import pytest
 
 import reference_indices
-from scimetrics.corpus import snapshot_at
+from scimetrics.corpus import author_positions, in_view, snapshot_at
 from scimetrics.indices import Measure
 from scimetrics.ingest import load_corpus, save_corpus
 from scimetrics.synth import SynthConfig, generate, team_size_mean
@@ -82,7 +82,8 @@ class TestGenerate:
         corpus = generate(SynthConfig(rng_seed=9, n_authors=30,
                                       team_size_regime="hyper"))
         # At the last year every author is known and every paper in view.
-        _, pub = snapshot_at(corpus, 2019).in_view(list(corpus.authors))
+        positions = author_positions(corpus.arrays, list(corpus.authors))
+        _, pub = in_view(corpus.arrays, positions, 2019)
         assert len(pub) == len(corpus.arrays.pub_id)
         for author in corpus.authors.values():
             for grant in author.awards:

@@ -19,7 +19,7 @@ from scimetrics.corpus import (
     Snapshot,
     snapshot_at,
 )
-from scimetrics.evaluation import series_grid
+from scimetrics.evaluation import FILTER_MODES, AuthorFilter, series_grid
 from scimetrics.indices import Measure, measure_columns, measure_table
 from scimetrics.ingest import load_corpus
 from scimetrics.synth import REGIMES, SynthConfig, generate
@@ -208,10 +208,14 @@ class TestSnapshotCitations:
         with pytest.raises(ValueError, match="2\\^53"):
             corpus_module.citations_through(arrays, 0, 1, np.array([2000, 2001]))
 
-    def test_series_grid_without_a_filter_never_reads_them(self, monkeypatch):
+    @pytest.mark.parametrize("mode", FILTER_MODES)
+    def test_series_grid_never_reads_them(self, mode, monkeypatch):
         corpus = generate(SynthConfig(rng_seed=2, n_authors=30))
         monkeypatch.setattr(
             Snapshot, "citations", property(lambda _: pytest.fail("citations read"))
         )
-        grid = series_grid(corpus, [Measure.H], ["tau_b"], (2000, 2010), horizon=2)
+        grid = series_grid(
+            corpus, [Measure.H], ["tau_b"], (2000, 2010), horizon=2,
+            author_filter=AuthorFilter(mode=mode),
+        )
         assert len(grid[Measure.H, "tau_b"].values) == 11
