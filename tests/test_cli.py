@@ -595,16 +595,32 @@ PINNED_OUTPUT_DIGESTS = {
         "e55b836e7f59dd47a3e2d82d0569dbb293057d77d1d1aca6c45d639cc7991d37",
     "corr-matrix":
         "bb6887b5da0790cd77aef8662ee0487d080253b457ce58d21725fc9fabf66497",
+    "corr-matrix-unordered":
+        "5b0da2b963e68988f8354428108896ff8f71754737b80eca655da75d5b33fd5e",
+    "evaluate-binary":
+        "e431e124d8838f7c7cfd5dc13af0a9880ba168f08fd85bc9b36ce44c05135a2d",
+    "evaluate-selective":
+        "de4b44677d4798826295aba45a9a386ef5f9351d176b46416bc2bcff066ebbd7",
+    "roc-selective":
+        "c547d5250a509bea706105ea3af89996a4c4bc4be5f4511e9652e6d4095dc297",
 }
 _EVALUATE = ["evaluate", "--measures", "all", "--criteria",
              "tau_b,auc,somers_d,gamma,rho", "--years", "1995:2014",
              "--horizon", "5", "--max-avg-authors", "15"]
+_SELECTIVE = ["--award-scheme", "selective_weight", "--award-factor", "0.3",
+              "--award-subset-frac", "0.7"]
 PINNED_COMMANDS = {
     **{f"evaluate-{mode}": [*_EVALUATE, "--filter", mode]
        for mode in evaluation.FILTER_MODES},
+    "evaluate-selective": [*_EVALUATE, "--filter", "all", *_SELECTIVE],
+    "evaluate-binary": [*_EVALUATE, "--award-scheme", "binary"],
     "indices": ["indices", "--year", "2010"],
     "roc": ["roc", "--year", "2015"],
+    "roc-selective": ["roc", "--year", "2015", *_SELECTIVE],
     "corr-matrix": ["corr-matrix", "--years", "2005,2015"],
+    # Years out of order: each file must still hold its own year.
+    "corr-matrix-unordered": ["corr-matrix", "--years", "2015,2005,2010",
+                              "--measures", "all"],
 }
 
 
