@@ -13,7 +13,9 @@ Usage:
 import argparse
 import math
 
-from scimetrics import Measure, SynthConfig, generate, measure_correlation_matrix
+from scimetrics import (
+    Measure, SynthConfig, generate, measure_correlation_matrix, measure_table,
+)
 
 
 def main() -> None:
@@ -30,7 +32,10 @@ def main() -> None:
         team_size_regime=args.regime,
     ))
     measures = list(Measure)
-    matrix = measure_correlation_matrix(corpus, args.year, measures)
+    ids = sorted(corpus.arrays.index)
+    matrix = measure_correlation_matrix(
+        measure_table(corpus, [args.year], ids, measures)[0]
+    )
 
     width = max(len(m.value) for m in measures)
     header = " " * (width + 1) + " ".join(f"{m.value:>7}" for m in measures)

@@ -36,12 +36,14 @@ def _fmt(value: float) -> str:
 
 
 def _fmt_all(values) -> np.ndarray:
-    """`_fmt` of each value, as an object array of the values' shape.  Each
-    distinct float64 bit pattern is formatted once, so -0.0 and 0.0 keep
-    their own strings."""
+    """`_fmt` of each value, as an object array of the values' shape, with
+    NaN (an undefined statistic) as an empty cell.  Each distinct float64 bit
+    pattern is formatted once, so -0.0 and 0.0 keep their own strings."""
     values = np.asarray(values, dtype=np.float64)
     bits, inverse = np.unique(values.ravel().view(np.uint64), return_inverse=True)
-    text = np.array([_fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    floats = bits.view(np.float64)
+    text = np.array([_fmt(v) for v in floats.tolist()], dtype=object)
+    text[np.isnan(floats)] = ""
     return text[inverse].reshape(values.shape)
 
 
@@ -264,8 +266,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
     corpus, _ = _load_corpus(args.corpus)
     measures = _parse_measures(args.measures)
     ids = sorted(corpus.arrays.index)
-    scores = evaluation.award_scores(corpus, args.year, scheme)
-    awards = np.array([scores[a] for a in ids], dtype=float)
+    awards = evaluation.award_scores(corpus, [args.year], scheme)[0]
     out_dir = Path(args.out)
     summary = [["measure", "auc", "status"]]
     outputs: dict[Path, str] = {}
@@ -296,17 +297,14 @@ def cmd_corr_matrix(args: argparse.Namespace) -> int:
     corpus, _ = _load_corpus(args.corpus)
     measures = _parse_measures(args.measures)
     years = _parse_years(args.years)
+    table = measure_table(corpus, sorted(years), sorted(corpus.arrays.index), measures)
+    by_year = dict(zip(sorted(years), table))
     out_dir = Path(args.out)
     outputs: dict[Path, str] = {}
     for year in years:
-        matrix = evaluation.measure_correlation_matrix(corpus, year, measures)
+        cells = _fmt_all(evaluation.measure_correlation_matrix(by_year[year])).tolist()
         rows = [["measure"] + [m.value for m in measures]]
-        for i, mi in enumerate(measures):
-            row = [mi.value]
-            for j in range(len(measures)):
-                cell = matrix[i, j]
-                row.append("" if cell != cell else _fmt(cell))  # NaN -> empty
-            rows.append(row)
+        rows += [[m.value, *row] for m, row in zip(measures, cells)]
         outputs[out_dir / f"corr_{year}.csv"] = _csv_text(rows)
     for path, text in outputs.items():
         _atomic_write(path, text)

@@ -95,9 +95,6 @@ class AuthorFilter:
 
 @dataclass(frozen=True)
 class EvaluationSeries:
-    measure: Measure
-    criterion: str
-    horizon: int
     years: tuple[int, ...]
     values: tuple[float | None, ...]  # None marks a degenerate (gap) year
     n_authors: tuple[int, ...]
@@ -116,28 +113,33 @@ def _retained_award_ids(corpus: AuthorCorpus, scheme: AwardScheme) -> set[str]:
 
 
 def award_scores(
-    corpus: AuthorCorpus, year: int, scheme: AwardScheme = AwardScheme()
-) -> dict[str, float]:
-    """Per-author award score counting grants conferred up to `year`."""
+    corpus: AuthorCorpus, years: Sequence[int], scheme: AwardScheme = AwardScheme()
+) -> np.ndarray:
+    """(len(years), n_authors) float64: each author's award score counting
+    grants conferred up to each of `years`, authors in id order.  One
+    np.bincount a year adds the retained grants in each author's stored
+    order; one not yet conferred adds +0.0, which changes no sum."""
     retained = _retained_award_ids(corpus, scheme)
-    scores = dict.fromkeys(corpus.arrays.index, 0.0)
+    position = {a: i for i, a in enumerate(sorted(corpus.arrays.index))}
+    holder, conferred, weight = [], [], []
     for author_id, grants in corpus.grants.items():
-        total = 0.0
         for grant in grants:
-            if grant.year_conferred > year or grant.award_id not in retained:
+            if grant.award_id not in retained:
                 continue
-            if (
+            selective = (
                 scheme.mode == "selective_weight"
                 and corpus.catalog[grant.award_id].total_laureates
                 <= scheme.selective_threshold
-            ):
-                total += scheme.selective_factor
-            else:
-                total += 1.0
-        if scheme.mode == "binary":
-            total = 1.0 if total > 0 else 0.0
-        scores[author_id] = total
-    return scores
+            )
+            holder.append(position[author_id])
+            conferred.append(grant.year_conferred)
+            weight.append(scheme.selective_factor if selective else 1.0)
+    holder, weight = np.array(holder, dtype=np.int64), np.array(weight, dtype=float)
+    conferred = np.array(conferred, dtype=object)  # compares ints of any size
+    scores = np.zeros((len(years), len(position)))
+    for row, year in zip(scores, years):
+        row[:] = np.bincount(holder, weight * (conferred <= year), len(position))
+    return (scores > 0).astype(float) if scheme.mode == "binary" else scores
 
 
 def apply_filter(
@@ -243,13 +245,14 @@ def series_grid(
 ) -> dict[tuple[Measure, str], EvaluationSeries]:
     """Per-year evaluation of every (measure, criterion) over [start, end].
 
-    One `apply_filter` gives the authors the filter keeps at each year, and
-    one `measure_table` over the whole run of years the measure values of
-    every author it keeps in any year; each year's columns and award scores
-    (by year + horizon), masked to that year's authors, and their ranks are
-    then shared by all cells, and so are the pair counts of each (measure,
-    awards) pair.  This is the one place a year becomes criterion values: a
-    degenerate cell is a gap, and its gap reason says why.
+    One `apply_filter` gives the authors the filter keeps at each year, one
+    `measure_table` over the whole run of years the measure values of every
+    author it keeps in any year, and one `award_scores` their scores by each
+    year + horizon; each year's columns and award scores, masked to that
+    year's authors, and their ranks are then shared by all cells, and so are
+    the pair counts of each (measure, awards) pair.  This is the one place a
+    year becomes criterion values: a degenerate cell is a gap, and its gap
+    reason says why.
     """
     start, end = year_range
     if start > end:
@@ -265,20 +268,20 @@ def series_grid(
     ids = [a for a, h in zip(sorted(corpus.arrays.index), held.tolist()) if h]
     keep = keep[:, held]
     table = measure_table(corpus, years, ids, measures)
+    scores = award_scores(corpus, [y + horizon for y in years], scheme)[:, held]
     values: dict[tuple[Measure, str], list[float | None]] = {
         (m, c): [] for m in measures for c in criteria
     }
     reasons: dict[tuple[Measure, str], list[str | None]] = {k: [] for k in values}
     counts = keep.sum(axis=1).tolist()
-    for year, row, count, columns in zip(years, keep, counts, table):
+    for year, row, count, columns, score in zip(years, keep, counts, table, scores):
         gap = None
         if count == 0:
             gap = f"filter {author_filter.mode!r} leaves no authors at {year}"
         elif count < 2:
             gap = f"fewer than 2 authors at year {year} after filtering"
         else:
-            scores = award_scores(corpus, year + horizon, scheme)
-            awards = np.array([scores[a] for a in ids], dtype=float)[row]
+            awards = score[row]
             award_ranks = rankcorr.dense_ranks(awards)
             pairs = {
                 m: _Pair(column, awards, award_ranks)
@@ -297,9 +300,7 @@ def series_grid(
             cell.append(value)
             reasons[measure, criterion].append(reason)
     return {
-        (m, c): EvaluationSeries(
-            m, c, horizon, years, tuple(v), tuple(counts), tuple(reasons[m, c])
-        )
+        (m, c): EvaluationSeries(years, tuple(v), tuple(counts), tuple(reasons[m, c]))
         for (m, c), v in values.items()
     }
 
@@ -320,17 +321,14 @@ def series(
     return grid[measure, criterion]
 
 
-def measure_correlation_matrix(
-    corpus: AuthorCorpus, year: int, measures: list[Measure]
-) -> np.ndarray:
-    """Symmetric tau_b matrix over per-author measure values; constant
-    columns yield NaN (undefined), never 0."""
-    ids = sorted(corpus.arrays.index)
-    if len(ids) < 2:
+def measure_correlation_matrix(columns: np.ndarray) -> np.ndarray:
+    """Symmetric tau_b matrix of the measures of one year's (measures x
+    authors) table, such as a year of `measure_table`; constant columns yield
+    NaN (undefined), never 0."""
+    if np.shape(columns)[1] < 2:
         raise DegenerateInputError("need at least 2 authors")
-    columns = measure_table(corpus, [year], ids, measures)[0]
     ranks = [rankcorr.dense_ranks(column) for column in columns]
-    k = len(measures)
+    k = len(ranks)
     matrix = np.full((k, k), np.nan)
     for i in range(k):
         for j in range(i, k):

@@ -229,7 +229,7 @@ def test_06_monotone_invariance(fixture_corpus):
     changes no criterion value (tolerance 1e-12)."""
     year = 2010
     snapshot = snapshot_at(fixture_corpus, year)
-    awards = award_scores(fixture_corpus, year, AwardScheme())
+    awards = award_scores(fixture_corpus, [year], AwardScheme())[0]  # in id order
     checked = 0
     for measure in Measure:
         raw = {
@@ -241,10 +241,9 @@ def test_06_monotone_invariance(fixture_corpus):
         ids = sorted(raw)
         values = [raw[a] for a in ids]
         warped = [v**3 + v for v in values]
-        score = [awards.get(a, 0.0) for a in ids]
         for criterion in ("tau_b", "auc", "somers_d", "gamma", "rho"):
-            before = apply_criterion(criterion, values, score)
-            after = apply_criterion(criterion, warped, score)
+            before = apply_criterion(criterion, values, awards)
+            after = apply_criterion(criterion, warped, awards)
             assert after == pytest.approx(before, abs=1e-12)
             checked += 1
     report(6, f"{checked} criterion values invariant under x³ + x")

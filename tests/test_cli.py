@@ -445,12 +445,32 @@ class TestCorrMatrix:
     @pytest.mark.parametrize(
         "years, message",
         [("2015,x", "--years: 'x' is not a year"),
-         ("2015,2015", "--years: 2015 is listed twice")],
+         ("2015,2015", "--years: 2015 is listed twice"),
+         ("2015,1900", "snapshot year 1900 outside valid range [1950, 2030]"),
+         # All years are checked at once, so the first bad one in
+         # ascending order is named.
+         ("2040,1900", "snapshot year 1900 outside valid range [1950, 2030]")],
     )
     def test_bad_years_rejected(self, corpus_dir, tmp_path, capsys, years, message):
         out = tmp_path / "corr"
         assert main(["corr-matrix", "--corpus", str(corpus_dir), "--years", years,
                      "--measures", "h,c", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "years, message",
+        [("2015,1900", "snapshot year 1900 outside valid range [1950, 2030]"),
+         ("2015,2010", "need at least 2 authors")],
+    )
+    def test_one_author_rejected(self, tmp_path, capsys, years, message):
+        # A bad year is named before the author count is judged.
+        (tmp_path / "authors.jsonl").write_text(
+            '{"author_id": "a1", "publications": []}\n'
+        )
+        out = tmp_path / "corr"
+        assert main(["corr-matrix", "--corpus", str(tmp_path / "authors.jsonl"),
+                     "--years", years, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 

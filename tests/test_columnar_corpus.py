@@ -16,7 +16,7 @@ from scimetrics.evaluation import (
     measure_correlation_matrix,
     series_grid,
 )
-from scimetrics.indices import Measure
+from scimetrics.indices import Measure, measure_table
 from scimetrics.ingest import load_corpus, save_corpus
 from scimetrics.synth import SynthConfig, generate
 
@@ -78,7 +78,8 @@ def test_no_pipeline_path_builds_the_view(tmp_path, no_profiles):
                 horizon=2, scheme=AwardScheme(mode=award_mode, selective_threshold=5),
                 author_filter=AuthorFilter(mode=mode, max_avg_authors=20.0),
             )
-    measure_correlation_matrix(corpus, 2015, list(Measure))
+    ids = sorted(corpus.arrays.index)
+    measure_correlation_matrix(measure_table(corpus, [2015], ids, list(Measure))[0])
 
     config_path = tmp_path / "synth.json"
     config_path.write_text('{"n_authors": 10, "team_size_regime": "hyper"}')

@@ -31,7 +31,7 @@ from scimetrics.evaluation import (
     series,
     series_grid,
 )
-from scimetrics.indices import Measure
+from scimetrics.indices import Measure, measure_table
 
 
 def build_corpus(papers_by_author, grants_by_author=None, catalog=None):
@@ -81,6 +81,51 @@ def seeded_corpus(seed=2024, n_authors=50):
     return build_corpus(papers_by_author, grants_by_author, catalog)
 
 
+def walked_award_scores(corpus, years, scheme):
+    """Award scores by their definition, rows by year, authors in id order:
+    each author's retained grants conferred by the year, added one by one in
+    their stored order."""
+    retained = evaluation._retained_award_ids(corpus, scheme)
+    rows = []
+    for year in years:
+        row = []
+        for author_id in sorted(corpus.arrays.index):
+            total = 0.0
+            for grant in corpus.grants.get(author_id, ()):
+                if grant.year_conferred <= year and grant.award_id in retained:
+                    laureates = corpus.catalog[grant.award_id].total_laureates
+                    selective = (
+                        scheme.mode == "selective_weight"
+                        and laureates <= scheme.selective_threshold
+                    )
+                    total += scheme.selective_factor if selective else 1.0
+            row.append(float(total > 0) if scheme.mode == "binary" else total)
+        rows.append(row)
+    return rows
+
+
+def out_of_order_grants_corpus():
+    """Three of four authors hold a selective and a non-selective award,
+    each with at least three grants stored out of year order, one conferred
+    after 2030.  At factor 0.1, 0.1 + 0.1 + 1.0 and 1.0 + 0.1 + 0.1 differ
+    in the last bit, so a sum in any other order shows.  A laureate count
+    and a grant year beyond 64 bits must still compare as the ints they
+    are."""
+    catalog = {
+        "rare": AwardCatalogEntry("rare", "Rare Medal", 3),
+        "common": AwardCatalogEntry("common", "Common Prize", 2**64),
+    }
+    grants = {
+        "b": [AwardGrant("rare", 2001), AwardGrant("rare", 1995),
+              AwardGrant("common", 1990), AwardGrant("rare", 2033)],
+        "a": [AwardGrant("rare", 2003), AwardGrant("rare", 2002),
+              AwardGrant("common", 1998), AwardGrant("common", -(2**64))],
+        "c": [AwardGrant("common", 2010), AwardGrant("rare", 2005),
+              AwardGrant("common", 2000), AwardGrant("rare", 2032)],
+    }
+    return build_corpus({a: [] for a in ("c", "b", "a", "d")}, grants, catalog)
+
+
 class TestAwardScores:
     def test_cumulative_counting(self):
         catalog = {"x": AwardCatalogEntry("x", "X", 10)}
@@ -89,8 +134,7 @@ class TestAwardScores:
             {"a1": [AwardGrant("x", 1998), AwardGrant("x", 2005)]},
             catalog,
         )
-        assert award_scores(corpus, 2000)["a1"] == 1
-        assert award_scores(corpus, 2010)["a1"] == 2
+        assert award_scores(corpus, [2000, 2010]).tolist() == [[1.0], [2.0]]
 
     def test_selective_weighting(self):
         # One award with 42 laureates, one with 13,837: 10 + 1 = 11.
@@ -104,7 +148,7 @@ class TestAwardScores:
             catalog,
         )
         scheme = AwardScheme(mode="selective_weight")
-        assert award_scores(corpus, 2010, scheme)["a1"] == 11
+        assert award_scores(corpus, [2010], scheme).tolist() == [[11.0]]
 
     def test_binary_mode(self):
         catalog = {"x": AwardCatalogEntry("x", "X", 10)}
@@ -113,42 +157,66 @@ class TestAwardScores:
             {"a1": [AwardGrant("x", 1998), AwardGrant("x", 2005)]},
             catalog,
         )
-        scores = award_scores(corpus, 2010, AwardScheme(mode="binary"))
-        assert set(scores.values()) <= {0.0, 1.0}
-        assert scores["a1"] == 1 and scores["a2"] == 0
+        scores = award_scores(corpus, [2010], AwardScheme(mode="binary"))
+        assert scores.dtype == np.float64
+        assert scores.tolist() == [[1.0, 0.0]]
 
     @pytest.mark.parametrize("mode", AWARD_MODES)
     def test_every_author_in_corpus_order(self, mode):
         # Authors without grants score 0; each holder's grants add in their
         # stored order, so the floats equal a walk over every author.
+        years = (1985, 2000, 2015, 2031, 2040)
         corpus = seeded_corpus()
         scheme = AwardScheme(mode=mode, subset_fraction=0.5, selective_threshold=50)
         retained = evaluation._retained_award_ids(corpus, scheme)
         assert 0 < len(retained) < len(corpus.catalog)
-        for year in (1985, 2000, 2015):
-            expected = {}
-            for author_id in corpus.arrays.index:
-                total = 0.0
-                for grant in corpus.grants.get(author_id, ()):
-                    if grant.year_conferred <= year and grant.award_id in retained:
-                        laureates = corpus.catalog[grant.award_id].total_laureates
-                        selective = mode == "selective_weight" and laureates <= 50
-                        total += scheme.selective_factor if selective else 1.0
-                expected[author_id] = float(total > 0) if mode == "binary" else total
-            scores = award_scores(corpus, year, scheme)
-            assert list(scores.items()) == list(expected.items())
-        assert any(scores.values())
+        scores = award_scores(corpus, years, scheme)
+        assert scores.shape == (len(years), len(corpus.arrays.index))
+        assert scores.tolist() == walked_award_scores(corpus, years, scheme)
+        assert scores.any()
+
+        corpus = out_of_order_grants_corpus()
+        scheme = AwardScheme(mode=mode, selective_threshold=10, selective_factor=0.1)
+        scores = award_scores(corpus, years, scheme)
+        assert scores.tolist() == walked_award_scores(corpus, years, scheme)
+        # Past 2030 the late grants count; in binary mode c already scores 1.
+        assert scores[-1, 2] > scores[-2, 2] or mode == "binary"
+        assert scores[:, 3].tolist() == [0.0] * len(years)
+
+    def test_out_of_order_grants_see_summation_order(self):
+        # The hand-made catalog can tell a stored-order sum from a
+        # year-ordered one; whole-number weights, as in seeded_corpus and
+        # the synthetic corpora, sum exactly in any order, so they cannot.
+        corpus = out_of_order_grants_corpus()
+        scheme = AwardScheme(
+            mode="selective_weight", selective_threshold=10, selective_factor=0.1
+        )
+        stored = walked_award_scores(corpus, [2040], scheme)[0]
+        by_year = []
+        for author_id in sorted(corpus.arrays.index):
+            total = 0.0
+            grants = corpus.grants.get(author_id, ())
+            for grant in sorted(grants, key=lambda g: g.year_conferred):
+                rare = grant.award_id == "rare"
+                total += 0.1 if rare else 1.0
+            by_year.append(total)
+        assert stored != by_year
+        assert award_scores(corpus, [2040], scheme)[0].tolist() == stored
+
+    @pytest.mark.parametrize("mode", AWARD_MODES)
+    def test_empty_years_and_empty_corpus(self, mode):
+        scheme = AwardScheme(mode=mode)
+        assert award_scores(seeded_corpus(), [], scheme).shape == (0, 50)
+        empty = AuthorCorpus(authors={})
+        assert award_scores(empty, [2000, 2010], scheme).shape == (2, 0)
 
     def test_subset_determinism(self):
         corpus = seeded_corpus()
         scheme = AwardScheme(subset_fraction=0.5, rng_seed=7)
-        assert award_scores(corpus, 2015, scheme) == award_scores(
-            corpus, 2015, scheme
-        )
+        first = award_scores(corpus, [2015], scheme)
+        assert np.array_equal(first, award_scores(corpus, [2015], scheme))
         other = AwardScheme(subset_fraction=0.5, rng_seed=8)
-        assert award_scores(corpus, 2015, scheme) != award_scores(
-            corpus, 2015, other
-        )
+        assert not np.array_equal(first, award_scores(corpus, [2015], other))
 
     @pytest.mark.parametrize("factor", [math.inf, math.nan, 0.0])
     def test_factor_must_be_finite_and_positive(self, factor):
@@ -455,11 +523,16 @@ class TestSeriesGrid:
             )
 
 
+def correlation_matrix(corpus, year, measures):
+    ids = sorted(corpus.arrays.index)
+    return measure_correlation_matrix(measure_table(corpus, [year], ids, measures)[0])
+
+
 class TestCorrelationMatrix:
     def test_symmetric_unit_diagonal(self):
         corpus = seeded_corpus()
         measures = [Measure.H, Measure.C, Measure.H_FRAC, Measure.MU]
-        matrix = measure_correlation_matrix(corpus, 2010, measures)
+        matrix = correlation_matrix(corpus, 2010, measures)
         assert np.allclose(matrix, matrix.T, equal_nan=True)
         assert np.allclose(np.diag(matrix), 1.0)
         finite = matrix[np.isfinite(matrix)]
@@ -472,20 +545,18 @@ class TestCorrelationMatrix:
                 for i in range(5)
             }
         )
-        matrix = measure_correlation_matrix(
-            corpus, 2010, [Measure.H, Measure.H_FRAC]
-        )
+        matrix = correlation_matrix(corpus, 2010, [Measure.H, Measure.H_FRAC])
         assert matrix[0, 1] == 1.0
 
     def test_constant_column_is_nan(self):
         corpus = build_corpus({"a1": [], "a2": []})
-        matrix = measure_correlation_matrix(corpus, 2010, [Measure.H, Measure.C])
+        matrix = correlation_matrix(corpus, 2010, [Measure.H, Measure.C])
         assert np.isnan(matrix).all()
 
     def test_matches_naive_recomputation(self):
         corpus = seeded_corpus()
         measures = [Measure.H, Measure.C_FRAC, Measure.O]
-        matrix = measure_correlation_matrix(corpus, 2010, measures)
+        matrix = correlation_matrix(corpus, 2010, measures)
         snap = snapshot_at(corpus, 2010)
         ids = sorted(corpus.authors)
         for i, mi in enumerate(measures):

@@ -20,7 +20,7 @@ from scimetrics.corpus import (
 )
 from scimetrics.errors import DegenerateInputError
 from scimetrics.evaluation import measure_correlation_matrix
-from scimetrics.indices import Measure, measure_columns
+from scimetrics.indices import Measure, measure_columns, measure_table
 from scimetrics.rankcorr import (
     average_ranks,
     dense_ranks,
@@ -357,8 +357,9 @@ class TestRankCore:
         }
         corpus = AuthorCorpus(authors=authors)
         measures = list(Measure)
-        matrix = measure_correlation_matrix(corpus, 2005, measures)
         ids = sorted(authors)
+        table = measure_table(corpus, [2005], ids, measures)
+        matrix = measure_correlation_matrix(table[0])
         columns = measure_columns(snapshot_at(corpus, 2005), ids, measures)
         expected = np.full((len(measures), len(measures)), np.nan)
         for i, mi in enumerate(measures):
