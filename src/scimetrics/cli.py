@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Subcommands: validate, indices, evaluate, roc, corr-matrix, synth.  Every
-command is a pure function of its input files and flags; outputs are written
-atomically (write-then-rename) so failures never leave partial files.  The
+command is a pure function of its input files and flags.  `_write` writes
+all of a command's outputs atomically (write-then-rename), or none if one
+cannot be encoded as UTF-8, so failures never leave partial files.  The
 one file a command may write besides its outputs is the column cache
 `.authors.jsonl.columns.npz` beside the corpus's authors.jsonl, which
 `ingest.load_authors` keeps so that the next command need not parse the file
@@ -12,6 +13,7 @@ again; it changes no result.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -30,37 +32,37 @@ from .indices import Measure, measure_table
 ALL_MEASURES = [m.value for m in Measure]
 
 
-def _fmt(value: float) -> str:
-    """Statistics are serialized with 6 significant digits, period decimal."""
-    return f"{value:.6g}"
-
-
 def _fmt_all(values) -> np.ndarray:
-    """`_fmt` of each value, as an object array of the values' shape, with
-    NaN (an undefined statistic) as an empty cell.  Each distinct float64 bit
-    pattern is formatted once, so -0.0 and 0.0 keep their own strings."""
+    """Each value with 6 significant digits and a period decimal, as an
+    object array of the values' shape; NaN or None (an undefined statistic)
+    is an empty cell.  Each distinct float64 bit pattern is formatted once,
+    so -0.0 and 0.0 keep their own strings."""
     values = np.asarray(values, dtype=np.float64)
     bits, inverse = np.unique(values.ravel().view(np.uint64), return_inverse=True)
     floats = bits.view(np.float64)
-    text = np.array([_fmt(v) for v in floats.tolist()], dtype=object)
+    text = np.array([f"{v:.6g}" for v in floats.tolist()], dtype=object)
     text[np.isnan(floats)] = ""
     return text[inverse].reshape(values.shape)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write `text` to `path` as UTF-8; text that UTF-8 cannot hold, such as
-    an id with a lone surrogate, is an error naming path:line, raised before
-    any file or directory is made."""
-    try:
-        data = text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        line = text.count("\n", 0, exc.start) + 1
-        raise ValueError(
-            f"{path}:{line}: cannot write {exc.object[exc.start:exc.end]!r} "
-            f"as UTF-8 ({exc.reason})"
-        ) from None
-    path.parent.mkdir(parents=True, exist_ok=True)
-    ingest.atomic_write(path, lambda fh: fh.write(data))
+def _write(outputs: dict[Path, str]) -> None:
+    """Write each text to its path as UTF-8, all or none: every text is
+    encoded first, and one UTF-8 cannot hold, such as an id with a lone
+    surrogate, is an error naming path:line before any directory or file is
+    made.  Each file is then written atomically."""
+    encoded = {}
+    for path, text in outputs.items():
+        try:
+            encoded[path] = text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            line = text.count("\n", 0, exc.start) + 1
+            raise ValueError(
+                f"{path}:{line}: cannot write {exc.object[exc.start:exc.end]!r} "
+                f"as UTF-8 ({exc.reason})"
+            ) from None
+    for path, data in encoded.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        ingest.atomic_write(path, lambda fh, data=data: fh.write(data))
 
 
 def _load_corpus(corpus_path: str) -> tuple[AuthorCorpus, ingest.CleaningReport]:
@@ -134,11 +136,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print(f"publications rejected: {report.rejected}")
     for reason, count in sorted(report.rejected_by_reason.items()):
         print(f"  {reason}: {count}")
+    outputs = {}
     if args.report:
-        _atomic_write(Path(args.report), report.csv_text())
+        outputs[Path(args.report)] = report.csv_text()
     if args.reject_log:
         rows = [["author_id", "pub_id", "reason"], *report.reject_log]
-        _atomic_write(Path(args.reject_log), _csv_text(rows))
+        outputs[Path(args.reject_log)] = _csv_text(rows)
+    _write(outputs)
     return 0
 
 
@@ -150,7 +154,7 @@ def cmd_indices(args: argparse.Namespace) -> int:
     cells = _fmt_all(columns).T.tolist()
     rows = [["author_id"] + [m.value for m in measures]]
     rows += [[author_id, *row] for author_id, row in zip(ids, cells)]
-    _atomic_write(Path(args.out), _csv_text(rows))
+    _write({Path(args.out): _csv_text(rows)})
     return 0
 
 
@@ -159,6 +163,7 @@ _SCHEME_FLAGS = {
     "selective_threshold": "award_threshold",
     "selective_factor": "award_factor",
     "subset_fraction": "award_subset_frac",
+    "rng_seed": "seed",
 }
 
 
@@ -168,7 +173,7 @@ def _scheme_from_args(args: argparse.Namespace) -> AwardScheme:
     values = {field: getattr(args, key) for field, key in _SCHEME_FLAGS.items()}
     for field, key in _SCHEME_FLAGS.items():
         evaluation.check_range(key, field, values[field])
-    return AwardScheme(mode=args.award_scheme, rng_seed=args.seed, **values)
+    return AwardScheme(mode=args.award_scheme, **values)
 
 
 def _filter_from_args(args: argparse.Namespace) -> AuthorFilter:
@@ -197,13 +202,6 @@ _MANIFEST_TYPES = {
     "seed": int,
 }
 _TYPE_NOUNS = {str: "a string", int: "an integer", float: "a number"}
-
-
-def _evaluate_config(args: argparse.Namespace) -> dict:
-    return {
-        "command": "evaluate",
-        **{key: getattr(args, key) for key in _MANIFEST_TYPES},
-    }
 
 
 def _apply_manifest(args: argparse.Namespace) -> None:
@@ -237,7 +235,6 @@ def _apply_manifest(args: argparse.Namespace) -> None:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.manifest:
         _apply_manifest(args)
-    config = _evaluate_config(args)
     scheme, author_filter = _scheme_from_args(args), _filter_from_args(args)
     corpus, _ = _load_corpus(args.corpus)
     measures = _parse_measures(args.measures)
@@ -247,17 +244,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         horizon=args.horizon, scheme=scheme, author_filter=author_filter,
     )
     out_dir = Path(args.out)
-    outputs: dict[Path, str] = {}
-    for (measure, criterion), result in grid.items():
+    outputs = {}
+    cells = _fmt_all([result.values for result in grid.values()]).tolist()
+    for ((measure, criterion), result), values in zip(grid.items(), cells):
         rows = [["year", "value", "n_authors"]]
-        for year, value, n in zip(result.years, result.values, result.n_authors):
-            rows.append([str(year), "" if value is None else _fmt(value), str(n)])
+        rows += zip(result.years, values, result.n_authors)
         outputs[out_dir / f"{measure.value}_{criterion}.csv"] = _csv_text(rows)
+    config = {"command": "evaluate", **{k: getattr(args, k) for k in _MANIFEST_TYPES}}
     outputs[out_dir / "manifest.json"] = (
         json.dumps(config, indent=2, sort_keys=True) + "\n"
     )
-    for path, text in outputs.items():
-        _atomic_write(path, text)
+    _write(outputs)
     return 0
 
 
@@ -268,17 +265,12 @@ def cmd_roc(args: argparse.Namespace) -> int:
     ids = sorted(corpus.arrays.index)
     awards = evaluation.award_scores(corpus, [args.year], scheme)[0]
     out_dir = Path(args.out)
-    summary = [["measure", "auc", "status"]]
-    outputs: dict[Path, str] = {}
+    outputs = {}
     columns = measure_table(corpus, [args.year], ids, measures)[0]
     curves = {}
     for measure, column in zip(measures, columns):
-        try:
-            curves[measure] = curve = rankcorr.roc_curve(column, awards)
-        except DegenerateInputError:
-            summary.append([measure.value, "", "degenerate"])
-        else:
-            summary.append([measure.value, _fmt(curve.auc), "ok"])
+        with contextlib.suppress(DegenerateInputError):
+            curves[measure] = rankcorr.roc_curve(column, awards)
     # Every curve visits the same authors, so all have one length.  The
     # numbers need no CSV quoting, so the lines are joined here.
     points = _fmt_all([(curve.fpr, curve.tpr) for curve in curves.values()])
@@ -287,9 +279,13 @@ def cmd_roc(args: argparse.Namespace) -> int:
         outputs[out_dir / f"roc_{measure.value}.csv"] = (
             "fpr,tpr\n" + "\n".join(lines) + "\n"
         )
+    aucs = _fmt_all([curves[m].auc if m in curves else None for m in measures])
+    summary = [["measure", "auc", "status"]] + [
+        [m.value, auc, "ok" if m in curves else "degenerate"]
+        for m, auc in zip(measures, aucs.tolist())
+    ]
     outputs[out_dir / "auc_summary.csv"] = _csv_text(summary)
-    for path, text in outputs.items():
-        _atomic_write(path, text)
+    _write(outputs)
     return 0
 
 
@@ -300,14 +296,13 @@ def cmd_corr_matrix(args: argparse.Namespace) -> int:
     table = measure_table(corpus, sorted(years), sorted(corpus.arrays.index), measures)
     by_year = dict(zip(sorted(years), table))
     out_dir = Path(args.out)
-    outputs: dict[Path, str] = {}
+    outputs = {}
     for year in years:
         cells = _fmt_all(evaluation.measure_correlation_matrix(by_year[year])).tolist()
         rows = [["measure"] + [m.value for m in measures]]
         rows += [[m.value, *row] for m, row in zip(measures, cells)]
         outputs[out_dir / f"corr_{year}.csv"] = _csv_text(rows)
-    for path, text in outputs.items():
-        _atomic_write(path, text)
+    _write(outputs)
     return 0
 
 
@@ -333,7 +328,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     print(f"regime: {config.team_size_regime}")
     print(f"authors: {len(arrays.index)}")
     print(f"publications: {n_pubs}")
-    print(f"mean authors/paper: {_fmt(mean_team)}")
+    print(f"mean authors/paper: {_fmt_all([mean_team])[0]}")
     print(f"award grants: {sum(map(len, corpus.grants.values()))}")
     return 0
 

@@ -277,12 +277,13 @@ _EVENT_CHUNK = 2**15
 
 def check_years(years: Sequence[int]) -> np.ndarray:
     """`years` as int64; a ValueError unless they ascend and a snapshot can
-    observe each."""
-    years = np.asarray(years, dtype=np.int64)
+    observe each.  Each is checked before the conversion, so a year beyond
+    64 bits is named like any other out of range."""
     lo, hi = VALID_YEAR_RANGE
-    for year in years.tolist():
+    for year in years:
         if not lo <= year <= hi:
             raise ValueError(f"snapshot year {year} outside valid range [{lo}, {hi}]")
+    years = np.asarray(years, dtype=np.int64)
     if np.any(np.diff(years) <= 0):
         raise ValueError(f"years must ascend, got {years.tolist()}")
     return years

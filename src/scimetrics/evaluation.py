@@ -52,6 +52,7 @@ SCHEME_RANGES = {
     "selective_threshold": (">= 1", lambda v: v >= 1),
     "selective_factor": ("finite and > 0", lambda v: 0 < v < math.inf),
     "subset_fraction": ("in (0, 1]", lambda v: 0 < v <= 1),
+    "rng_seed": (">= 0", lambda v: v >= 0),
 }
 
 
@@ -262,6 +263,7 @@ def series_grid(
     for criterion in criteria:
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}")
+    check_years(sorted({start, end}))  # never build a run to a year beyond 64 bits
     years = tuple(range(start, end + 1))
     keep = apply_filter(corpus, years, author_filter)
     held = keep.any(axis=0)
@@ -330,8 +332,10 @@ def measure_correlation_matrix(columns: np.ndarray) -> np.ndarray:
     ranks = [rankcorr.dense_ranks(column) for column in columns]
     k = len(ranks)
     matrix = np.full((k, k), np.nan)
+    # A column agrees fully with itself, unless it is constant (all ranks 0).
+    np.fill_diagonal(matrix, [1.0 if r.any() else np.nan for r in ranks])
     for i in range(k):
-        for j in range(i, k):
+        for j in range(i + 1, k):
             try:
                 value = rankcorr.pair_counts_of_ranks(ranks[i], ranks[j]).tau_b()
             except DegenerateInputError:

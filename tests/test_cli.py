@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import reference_indices
-from scimetrics import effectiveness, evaluation, rankcorr, snapshot_at
-from scimetrics.cli import main
+from scimetrics import cli, effectiveness, evaluation, rankcorr, snapshot_at
+from scimetrics.cli import build_parser, main
 from scimetrics.corpus import Snapshot
 from scimetrics.indices import Measure, measure_table
 from scimetrics.ingest import load_corpus, save_corpus
@@ -86,11 +86,13 @@ class TestValidate:
         )
         assert [p.name for p in report.parent.iterdir()] == ["report.csv"]
 
-    @pytest.mark.parametrize("command", ["validate", "indices"])
+    @pytest.mark.parametrize("command", ["validate", "indices", "validate-report"])
     def test_unwritable_id_names_the_output(self, command, tmp_path, capsys):
         # The loader accepts an author id holding a lone surrogate, which
         # UTF-8 cannot encode: writing it fails at the output's path:line,
-        # and neither the file nor a temporary one is left behind.
+        # and neither the file nor a temporary one is left behind.  Every
+        # output is encoded before any is written, so a report UTF-8 can
+        # hold is not written either.
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "authors.jsonl").write_text(
@@ -103,6 +105,9 @@ class TestValidate:
             "validate": ["validate", "--corpus", str(corpus), "--reject-log", str(out)],
             "indices": ["indices", "--corpus", str(corpus), "--year", "2005",
                         "--out", str(out)],
+            "validate-report": ["validate", "--corpus", str(corpus),
+                                "--report", str(out.parent / "report.csv"),
+                                "--reject-log", str(out)],
         }[command]
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -295,6 +300,13 @@ class TestEvaluate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_manifest_records_every_flag(self):
+        # A flag missing from _MANIFEST_TYPES would be left out of manifests,
+        # and a rerun would silently take its default.
+        args = vars(build_parser().parse_args(["evaluate", "--out", "o"]))
+        recorded = set(args) - {"command", "func", "manifest", "out"}
+        assert recorded == set(cli._MANIFEST_TYPES)
+
     def test_one_measure_table_over_the_years(
         self, corpus_dir, tmp_path, monkeypatch
     ):
@@ -474,6 +486,49 @@ class TestCorrMatrix:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+
+# A year beyond 64 bits, checked before it becomes an int64.
+HUGE_YEAR = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roc", "--year", HUGE_YEAR],
+        ["indices", "--year", HUGE_YEAR],
+        ["corr-matrix", "--years", f"2015,{HUGE_YEAR}"],
+        ["evaluate", "--years", f"2005:{HUGE_YEAR}"],
+    ],
+    ids=["roc", "indices", "corr-matrix", "evaluate"],
+)
+def test_year_beyond_64_bits_rejected(argv, corpus_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--corpus", str(corpus_dir), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: snapshot year {HUGE_YEAR} outside valid range [1950, 2030]\n"
+    )
+    assert not out.exists()
+
+
+def test_negative_seed_rejected(corpus_dir, tmp_path, capsys):
+    # The seed is checked by name whether or not a subset fraction uses it.
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "command": "evaluate", "corpus": str(corpus_dir),
+        "years": "2005:2006", "seed": -1,
+    }))
+    roc = ["roc", "--corpus", str(corpus_dir), "--year", "2015", "--seed", "-1"]
+    out = tmp_path / "out"
+    for argv in (
+        roc,
+        [*roc, "--award-subset-frac", "0.5"],
+        ["evaluate", "--manifest", str(manifest)],
+    ):
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+    with pytest.raises(ValueError, match=r"^rng_seed must be >= 0, got -1$"):
+        evaluation.AwardScheme(rng_seed=-1)
 
 
 @pytest.mark.parametrize(
