@@ -708,13 +708,71 @@ def hyper_corpus_dir(tmp_path_factory):
     return out
 
 
+def run_outputs(argv, corpus, out):
+    """The CSV bytes a command writes under `out`, by file name, in name
+    order, and their SHA-256 (each name and bytes, in that order)."""
+    target = out / "indices.csv" if argv[0] == "indices" else out
+    assert main([*argv, "--corpus", str(corpus), "--out", str(target)]) == 0
+    files = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+    digest = hashlib.sha256()
+    for name, data in files.items():
+        digest.update(name.encode() + b"\0" + data)
+    return files, digest.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_COMMANDS))
 def test_output_bytes_are_pinned(name, hyper_corpus_dir, tmp_path):
-    out = tmp_path / name
-    argv = [*PINNED_COMMANDS[name], "--corpus", str(hyper_corpus_dir)]
-    target = out / "indices.csv" if name == "indices" else out
-    assert main([*argv, "--out", str(target)]) == 0
-    digest = hashlib.sha256()
-    for path in sorted(out.glob("*.csv")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    assert digest.hexdigest() == PINNED_OUTPUT_DIGESTS[name]
+    _, digest = run_outputs(PINNED_COMMANDS[name], hyper_corpus_dir, tmp_path / name)
+    assert digest == PINNED_OUTPUT_DIGESTS[name]
+
+
+@pytest.fixture(scope="module")
+def reweighted_corpus_dir(hyper_corpus_dir, tmp_path_factory):
+    """The pinned hyper corpus with every even-year award listing 20
+    laureates.  Its synthetic awards list 10 each, so at --award-threshold
+    15 every grant would be selective; here only the odd-year ones are, and
+    selective_weight weighs grants unequally."""
+    out = tmp_path_factory.mktemp("reweighted")
+    for name in ("authors.jsonl", "awards.csv"):
+        (out / name).write_bytes((hyper_corpus_dir / name).read_bytes())
+    rows = read_csv(hyper_corpus_dir / "catalog.csv")
+    for row in rows[1:]:
+        if int(row[0].removeprefix("synth-")) % 2 == 0:
+            row[2] = "20"
+    with open(out / "catalog.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return out
+
+
+# SHA-256 of the outputs, as in PINNED_OUTPUT_DIGESTS, of selective_weight
+# runs on the reweighted corpus.
+REWEIGHTED_DIGESTS = {
+    "evaluate":
+        "f76fec1e64a73ef638ac9956d09acc86cf2fb6a6716c6a1aae3e93c0ee880503",
+    "roc":
+        "5532a64859a68b0919b28ab7a9cf7a705385884dc7cd694df179a8228d972686",
+}
+REWEIGHTED_COMMANDS = {
+    "evaluate": [*_EVALUATE, "--filter", "all"],
+    "roc": ["roc", "--year", "2015"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REWEIGHTED_COMMANDS))
+def test_selective_weight_output_bytes_are_pinned(
+    name, reweighted_corpus_dir, tmp_path
+):
+    argv = [*REWEIGHTED_COMMANDS[name], "--award-threshold", "15",
+            "--award-factor", "0.3"]
+    selective, digest = run_outputs(
+        [*argv, "--award-scheme", "selective_weight"],
+        reweighted_corpus_dir, tmp_path / "selective",
+    )
+    equal, _ = run_outputs(
+        [*argv, "--award-scheme", "equal_weight"],
+        reweighted_corpus_dir, tmp_path / "equal",
+    )
+    assert digest == REWEIGHTED_DIGESTS[name]
+    # The weighting shows in every file: no output equals its equal-weight one.
+    assert selective.keys() == equal.keys()
+    assert all(selective[f] != equal[f] for f in selective)
