@@ -270,8 +270,8 @@ def outside_int32(what: str, value: int) -> str:
     return f"{what} {value} is outside the 32-bit integer range"
 
 
-# The citation events one np.bincount of `citations_through` sums at most,
-# so that its transients stay small however large the corpus.
+# The citation events one pass of `citations_through` sums at most, so that
+# its transients stay small however large the corpus.
 _EVENT_CHUNK = 2**15
 
 
@@ -289,6 +289,23 @@ def check_years(years: Sequence[int]) -> np.ndarray:
     return years
 
 
+def accrued(
+    years: np.ndarray, when: np.ndarray, owner: np.ndarray, n: int, weights=None
+) -> np.ndarray:
+    """(len(years), n) int64: for each of owners 0..n-1, the total of the
+    integer `weights` (1 each by default) of its items dated at or before
+    each of the ascending `years`.  Each item is added into the bucket of
+    (the first of `years` it counts in, its owner), and a running sum over
+    the years accumulates the buckets."""
+    key = np.searchsorted(years, when) * n + owner
+    # A row of owners per year, and a last row that counts in none of them.
+    totals = np.zeros((len(years) + 1, n), dtype=np.int64)
+    # int64 weights keep np.add.at on its fast path.
+    added = 1 if weights is None else np.asarray(weights, dtype=np.int64)
+    np.add.at(totals.reshape(-1), key, added)
+    return np.cumsum(totals[:-1], axis=0)
+
+
 def citations_through(
     arrays: CorpusArrays, first: int, last: int, years: np.ndarray
 ) -> np.ndarray:
@@ -297,15 +314,11 @@ def citations_through(
     ascending, non-empty `years`.
 
     The publications are taken in runs of at most _EVENT_CHUNK citation
-    events (or one publication with more).  For several years, one
-    np.bincount per run, keyed by (first of `years` that counts the event,
-    publication), sums the events, and a running sum over the years
-    accumulates them; its float64 sums are exact while each publication's
-    citations stay below 2^53, and a larger one raises.  For one year, a
-    masked np.add.reduceat per run does the same in int64 with half the
-    passes over the events.
+    events (or one publication with more).  For several years, `accrued`
+    sums each run's events by publication.  For one year, a masked
+    np.add.reduceat per run does the same with half the passes over the
+    events.
     """
-    buckets = len(years) + 1  # the last one counts at none of the years
     start = arrays.event_start[first : last + 1]
     out = np.zeros((len(years), last - first), dtype=np.int64)
     for a, b in runs(start[:-1], start[1:], _EVENT_CHUNK):
@@ -317,17 +330,10 @@ def citations_through(
             cited = start[a:b] < start[a + 1 : b + 1]
             out[0, a:b][cited] = np.add.reduceat(counted, start[a:b][cited] - start[a])
         else:
-            key = np.searchsorted(years, arrays.event_year[events])
-            key *= b - a
-            key += np.repeat(np.arange(b - a), np.diff(start[a : b + 1]))
-            sums = np.bincount(
-                key, weights=arrays.event_count[events], minlength=buckets * (b - a)
+            pub = np.repeat(np.arange(b - a), np.diff(start[a : b + 1]))
+            out[:, a:b] = accrued(
+                years, arrays.event_year[events], pub, b - a, arrays.event_count[events]
             )
-            if sums.max(initial=0) >= 2**53:
-                raise ValueError("a publication's citations reach 2^53: not exact")
-            part = out[:, a:b]
-            part[...] = sums.reshape(buckets, b - a)[:-1]
-            np.cumsum(part, axis=0, out=part)
     return out
 
 

@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from . import rankcorr
-from .corpus import AuthorCorpus, author_positions, check_years
+from .corpus import AuthorCorpus, accrued, author_positions, check_years
 from .errors import DegenerateInputError
 from .indices import Measure, measure_table
 
@@ -148,7 +148,9 @@ def apply_filter(
 ) -> np.ndarray:
     """(len(years), n_authors) bool: whether a robustness filter keeps each
     author, authors in id order, at the end of each of the ascending
-    `years`."""
+    `years`.  no_hyperauthors keeps an author with no paper in view, or one
+    whose papers in view, counted by `accrued` with their author counts in
+    int64, average at most max_avg_authors authors."""
     years = check_years(years)
     arrays = corpus.arrays
     ids = sorted(arrays.index)
@@ -165,17 +167,9 @@ def apply_filter(
     author = np.repeat(np.arange(n), np.diff(arrays.starts))  # of each paper
     year = arrays.effective_year.astype(np.int64)
     if author_filter.mode == "no_hyperauthors":
-        # Papers and their author counts by the first of `years` each paper
-        # counts in, then summed over the years.  Integer sums in float64,
-        # exact; the mean rounds as int / int does.
-        key = np.searchsorted(years, year) * n + author
-        shape = (len(years) + 1, n)  # the last row counts in none of them
-        papers, authors = (
-            np.bincount(key, weights, shape[0] * shape[1])
-            .reshape(shape)[:-1]
-            .cumsum(axis=0)
-            for weights in (None, arrays.author_count)
-        )
+        # Each author's papers in view and their author counts, int64.
+        papers = accrued(years, year, author, n)
+        authors = accrued(years, year, author, n, arrays.author_count)
         mean = np.where(papers > 0, authors / np.maximum(papers, 1), 0.0)
         keep = mean <= author_filter.max_avg_authors
     else:  # peak_in_window, judged on the full corpus history

@@ -20,6 +20,7 @@ from .corpus import (
     AuthorCorpus,
     CorpusArrays,
     Snapshot,
+    accrued,
     author_positions,
     check_years,
     citations_through,
@@ -224,9 +225,7 @@ def _chunk_columns(
     n = np.bincount(row, minlength=len(k))
     col = np.arange(len(row)) - np.repeat(np.cumsum(n) - n, n)
     # Each row's papers in view at each year.
-    counts = np.bincount(since * len(k) + row, minlength=(len(years) + 1) * len(k))
-    counts = counts.reshape(len(years) + 1, len(k))[:-1]
-    np.cumsum(counts, axis=0, out=counts)
+    counts = accrued(years, arrays.effective_year[pub], row, len(k))
     block = np.frexp(n)[1]  # non-negative exponents
     slot = np.empty(len(k), dtype=np.int64)  # each row's position in its block
     # Block 0 holds the authors without papers, whose every measure is 0.

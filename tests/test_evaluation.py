@@ -248,6 +248,34 @@ class TestApplyFilter:
         )
         assert kept == ["small"]
 
+    # Thresholds at means the authors below reach: a mean equal to the
+    # threshold is kept.
+    @pytest.mark.parametrize("threshold", [1, 2, 7 / 3, 5 / 2, 3, 4])
+    def test_hyperauthor_over_a_run_of_years(self, threshold):
+        corpus = build_corpus(
+            {
+                "a": [(1998, 2, {}), (2000, 3, {2001: 1}), (2004, 4, {})],
+                "b": [(1999, 1, {}), (2001, 2, {}), (2003, 4, {}), (2006, 1, {})],
+                "c": [(2002, 3, {}), (2002, 2, {2005: 7})],
+                "d": [(2005, 4, {})],
+                "e": [],
+                "f": [(2006, 1, {}), (1998, 4, {}), (2003, 2, {})],
+            }
+        )
+        years = range(1997, 2008)
+        author_filter = AuthorFilter(mode="no_hyperauthors", max_avg_authors=threshold)
+        keep = apply_filter(corpus, years, author_filter)
+        for year, row in zip(years, keep.tolist()):
+            expected = []
+            for author_id in sorted(corpus.authors):
+                teams = [
+                    p.author_count
+                    for p in corpus.authors[author_id].publications
+                    if p.effective_year <= year
+                ]
+                expected.append(not teams or sum(teams) / len(teams) <= threshold)
+            assert row == expected, year
+
     def test_hyperauthor_inf_threshold_equals_all(self):
         corpus = seeded_corpus()
         kept = kept_ids(
