@@ -101,12 +101,27 @@ def _parse_measures(spec: str) -> list[Measure]:
     return measures
 
 
-def _parse_year_range(spec: str) -> tuple[int, int]:
+def _parse_year_range(key: str, spec: str) -> tuple[int, int]:
+    """The START:END of `spec`; anything else is an error naming `key`, the
+    setting's manifest key."""
     try:
         start, end = spec.split(":")
         return int(start), int(end)
     except ValueError:
-        raise ValueError(f"bad year range {spec!r}; expected START:END") from None
+        raise ValueError(f"{key} must be START:END, got {spec!r}") from None
+
+
+def _read_json(path: str):
+    """The JSON value of a file read as UTF-8.  Malformed JSON, or a byte
+    that is not UTF-8, is a ParseError at the file's path:line."""
+    data = Path(path).read_bytes()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(str(path), line, str(exc)) from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(str(path), exc.lineno, exc.msg) from None
 
 
 def _parse_years(spec: str) -> list[int]:
@@ -180,7 +195,7 @@ def _filter_from_args(args: argparse.Namespace) -> AuthorFilter:
     return AuthorFilter(
         mode=args.filter,
         max_avg_authors=args.max_avg_authors,
-        window=_parse_year_range(args.window),
+        window=_parse_year_range("window", args.window),
     )
 
 
@@ -209,8 +224,7 @@ def _apply_manifest(args: argparse.Namespace) -> None:
     its flag parses to: a number for a float flag, an integer for an int
     flag (a bool is neither) and a string otherwise."""
     path = args.manifest
-    with open(path) as fh:
-        config = json.load(fh)
+    config = _read_json(path)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: a manifest must be a JSON object")
     if config.get("command", "evaluate") != "evaluate":
@@ -240,7 +254,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     measures = _parse_measures(args.measures)
     criteria = _parse_names("--criteria", args.criteria)
     grid = evaluation.series_grid(
-        corpus, measures, criteria, _parse_year_range(args.years),
+        corpus, measures, criteria, _parse_year_range("years", args.years),
         horizon=args.horizon, scheme=scheme, author_filter=author_filter,
     )
     out_dir = Path(args.out)
@@ -309,8 +323,7 @@ def cmd_corr_matrix(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     overrides = {}
     if args.config:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
+        overrides = _read_json(args.config)
         if not isinstance(overrides, dict):
             raise ValueError(f"{args.config}: a synth config must be a JSON object")
         known = {f.name for f in dataclasses.fields(synth.SynthConfig)}

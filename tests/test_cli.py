@@ -300,6 +300,25 @@ class TestEvaluate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, key", [("--years", "years"),
+                                           ("--window", "window")])
+    @pytest.mark.parametrize("source", ["flag", "manifest"])
+    def test_bad_year_range_names_its_key(
+        self, corpus_dir, tmp_path, capsys, source, flag, key
+    ):
+        settings = {"years": "2005:2006", key: "abc"}
+        out = tmp_path / "eval"
+        if source == "flag":
+            argv = ["evaluate", "--corpus", str(corpus_dir)]
+            argv += [arg for k, v in settings.items() for arg in (f"--{k}", v)]
+        else:
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps({"corpus": str(corpus_dir), **settings}))
+            argv = ["evaluate", "--manifest", str(manifest)]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {key} must be START:END, got 'abc'\n"
+        assert not out.exists()
+
     def test_manifest_records_every_flag(self):
         # A flag missing from _MANIFEST_TYPES would be left out of manifests,
         # and a rerun would silently take its default.
@@ -554,6 +573,24 @@ def test_repeated_names_rejected(argv, message, corpus_dir, tmp_path, capsys):
     assert main([*argv, "--corpus", str(corpus_dir), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+# A JSON file each command reads, and the error that names it.
+_MALFORMED_JSON = [
+    (b'{"corpus": ', "bad.json:1: Expecting value"),
+    (b'{\n"corpus": "\xff"}', "bad.json:2: 'utf-8' codec can't decode byte "
+     "0xff in position 13: invalid start byte"),
+]
+
+
+@pytest.mark.parametrize("data, message", _MALFORMED_JSON, ids=["cut", "not-utf8"])
+@pytest.mark.parametrize("argv", [["evaluate", "--manifest"], ["synth", "--config"]])
+def test_malformed_json_file_named(argv, data, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_bytes(data)
+    assert main([*argv, "bad.json", "--out", "o"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == ["bad.json"]
+
 
 class TestSynthCommand:
     def test_determinism(self, tmp_path):
