@@ -251,7 +251,7 @@ def series_grid(
     """
     start, end = year_range
     if start > end:
-        raise ValueError("empty year range")
+        raise ValueError(f"years must not end before they start, got {start}:{end}")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     for criterion in criteria:

@@ -300,13 +300,20 @@ class TestEvaluate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, key", [("--years", "years"),
-                                           ("--window", "window")])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("years", "abc", "years must be START:END, got 'abc'"),
+            ("window", "abc", "window must be START:END, got 'abc'"),
+            ("years", "2006:2005",
+             "years must not end before they start, got 2006:2005"),
+        ],
+    )
     @pytest.mark.parametrize("source", ["flag", "manifest"])
     def test_bad_year_range_names_its_key(
-        self, corpus_dir, tmp_path, capsys, source, flag, key
+        self, corpus_dir, tmp_path, capsys, source, key, value, message
     ):
-        settings = {"years": "2005:2006", key: "abc"}
+        settings = {"years": "2005:2006", key: value}
         out = tmp_path / "eval"
         if source == "flag":
             argv = ["evaluate", "--corpus", str(corpus_dir)]
@@ -316,7 +323,7 @@ class TestEvaluate:
             manifest.write_text(json.dumps({"corpus": str(corpus_dir), **settings}))
             argv = ["evaluate", "--manifest", str(manifest)]
         assert main([*argv, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {key} must be START:END, got 'abc'\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_manifest_records_every_flag(self):
