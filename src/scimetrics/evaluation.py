@@ -167,7 +167,6 @@ def apply_filter(
     author = np.repeat(np.arange(n), np.diff(arrays.starts))  # of each paper
     year = arrays.effective_year.astype(np.int64)
     if author_filter.mode == "no_hyperauthors":
-        # Each author's papers in view and their author counts, int64.
         papers = accrued(years, year, author, n)
         authors = accrued(years, year, author, n, arrays.author_count)
         mean = np.where(papers > 0, authors / np.maximum(papers, 1), 0.0)

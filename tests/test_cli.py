@@ -581,6 +581,7 @@ def test_repeated_names_rejected(argv, message, corpus_dir, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
+
 # A JSON file each command reads, and the error that names it.
 _MALFORMED_JSON = [
     (b'{"corpus": ', "bad.json:1: Expecting value"),
