@@ -1,13 +1,13 @@
 """Command-line front door.
 
 Subcommands: validate, indices, evaluate, roc, corr-matrix, synth.  Every
-command is a pure function of its input files and flags.  `_write` writes
-all of a command's outputs atomically (write-then-rename), or none if one
-cannot be encoded as UTF-8, so failures never leave partial files.  The
-one file a command may write besides its outputs is the column cache
-`.authors.jsonl.columns.npz` beside the corpus's authors.jsonl, which
-`ingest.load_authors` keeps so that the next command need not parse the file
-again; it changes no result.
+command is a pure function of its input files and flags.  `_write`, and
+`ingest.save_corpus` for synth, write all of a command's outputs or none:
+every text is encoded first, and `ingest.write_files` renames the files into
+place only once all are written.  The one file a command may write besides
+its outputs is the column cache `.authors.jsonl.columns.npz` beside the
+corpus's authors.jsonl, which `ingest.load_authors` keeps so that the next
+command need not parse the file again; it changes no result.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import dataclasses
 import io
 import json
 import sys
+from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -47,22 +48,15 @@ def _fmt_all(values) -> np.ndarray:
 
 def _write(outputs: dict[Path, str]) -> None:
     """Write each text to its path as UTF-8, all or none: every text is
-    encoded first, and one UTF-8 cannot hold, such as an id with a lone
-    surrogate, is an error naming path:line before any directory or file is
-    made.  Each file is then written atomically."""
-    encoded = {}
-    for path, text in outputs.items():
-        try:
-            encoded[path] = text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            line = text.count("\n", 0, exc.start) + 1
-            raise ValueError(
-                f"{path}:{line}: cannot write {exc.object[exc.start:exc.end]!r} "
-                f"as UTF-8 ({exc.reason})"
-            ) from None
-    for path, data in encoded.items():
+    encoded first (`ingest.encoded`), before any directory or file is made,
+    and the files are then written by one `ingest.write_files`."""
+    writers = {
+        path: methodcaller("write", ingest.encoded(path, text))
+        for path, text in outputs.items()
+    }
+    for path in writers:
         path.parent.mkdir(parents=True, exist_ok=True)
-        ingest.atomic_write(path, lambda fh, data=data: fh.write(data))
+    ingest.write_files(writers)
 
 
 def _load_corpus(corpus_path: str) -> tuple[AuthorCorpus, ingest.CleaningReport]:

@@ -290,19 +290,20 @@ def check_years(years: Sequence[int]) -> np.ndarray:
 
 
 def accrued(
-    years: np.ndarray, when: np.ndarray, owner: np.ndarray, n: int, weights=None
+    since: np.ndarray, owner: np.ndarray, n_years: int, n: int, weights=None
 ) -> np.ndarray:
-    """(len(years), n) int64: for each of owners 0..n-1, the total of the
-    integer `weights` (1 each by default) of its items dated at or before
-    each of the ascending `years`.  Each item is added into the bucket of
-    (the first of `years` it counts in, its owner), and a running sum over
-    the years accumulates the buckets."""
-    key = np.searchsorted(years, when) * n + owner
+    """(n_years, n) int64: for each of owners 0..n-1, the total of the
+    integer `weights` (1 each by default) of its items counted in each of
+    n_years ascending years.  Item i counts in year index since[i] and every
+    later one, so since[i] == n_years counts it in none; callers compute
+    `since` as np.searchsorted(years, when) of the items' dates.  Each item
+    is added into the bucket of (since, owner), and a running sum over the
+    years accumulates the buckets."""
     # A row of owners per year, and a last row that counts in none of them.
-    totals = np.zeros((len(years) + 1, n), dtype=np.int64)
+    totals = np.zeros((n_years + 1, n), dtype=np.int64)
     # int64 weights keep np.add.at on its fast path.
     added = 1 if weights is None else np.asarray(weights, dtype=np.int64)
-    np.add.at(totals.reshape(-1), key, added)
+    np.add.at(totals.reshape(-1), since * n + owner, added)
     return np.cumsum(totals[:-1], axis=0)
 
 
@@ -331,8 +332,9 @@ def citations_through(
             out[0, a:b][cited] = np.add.reduceat(counted, start[a:b][cited] - start[a])
         else:
             pub = np.repeat(np.arange(b - a), np.diff(start[a : b + 1]))
+            since = np.searchsorted(years, arrays.event_year[events])
             out[:, a:b] = accrued(
-                years, arrays.event_year[events], pub, b - a, arrays.event_count[events]
+                since, pub, len(years), b - a, arrays.event_count[events]
             )
     return out
 

@@ -167,8 +167,9 @@ def apply_filter(
     author = np.repeat(np.arange(n), np.diff(arrays.starts))  # of each paper
     year = arrays.effective_year.astype(np.int64)
     if author_filter.mode == "no_hyperauthors":
-        papers = accrued(years, year, author, n)
-        authors = accrued(years, year, author, n, arrays.author_count)
+        since = np.searchsorted(years, year)
+        papers = accrued(since, author, len(years), n)
+        authors = accrued(since, author, len(years), n, arrays.author_count)
         mean = np.where(papers > 0, authors / np.maximum(papers, 1), 0.0)
         keep = mean <= author_filter.max_avg_authors
     else:  # peak_in_window, judged on the full corpus history

@@ -225,7 +225,7 @@ def _chunk_columns(
     n = np.bincount(row, minlength=len(k))
     col = np.arange(len(row)) - np.repeat(np.cumsum(n) - n, n)
     # Each row's papers in view at each year.
-    counts = accrued(years, arrays.effective_year[pub], row, len(k))
+    counts = accrued(since, row, len(years), len(k))
     block = np.frexp(n)[1]  # non-negative exponents
     slot = np.empty(len(k), dtype=np.int64)  # each row's position in its block
     # Block 0 holds the authors without papers, whose every measure is 0.

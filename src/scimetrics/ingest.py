@@ -29,6 +29,7 @@ from collections.abc import Callable, Container, Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import methodcaller
 from pathlib import Path
 from typing import BinaryIO
 
@@ -66,21 +67,20 @@ class CleaningReport:
     def rejected(self) -> int:
         return len(self.reject_log)
 
-    @property
-    def total(self) -> int:
-        return self.accepted + self.rejected
-
     def record_reject(self, author_id: str, pub_id: str, reason: str) -> None:
         self.reject_log.append((author_id, pub_id, reason))
 
     def csv_text(self) -> str:
-        """Counts by reason as CSV text (the csv default dialect, CRLF rows)."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["reason", "count"])
-        writer.writerow(["accepted", self.accepted])
-        writer.writerows(sorted(self.rejected_by_reason.items()))
-        return buf.getvalue()
+        """Counts by reason as CSV text."""
+        counts = sorted(self.rejected_by_reason.items())
+        return csv_text([["reason", "count"], ["accepted", self.accepted], *counts])
+
+
+def csv_text(rows: Iterable[Iterable[object]]) -> str:
+    """`rows` as CSV text in the csv default dialect, CRLF rows."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _integer(value, what: str) -> int | None:
@@ -184,7 +184,7 @@ def load_authors(path: str | Path) -> tuple[CorpusArrays, CleaningReport]:
         return cached
     arrays, report, digest = parse_authors(path)
     try:
-        atomic_write(cache, lambda fh: _write_cache(fh, arrays, report, digest))
+        write_files({cache: lambda fh: _write_cache(fh, arrays, report, digest)})
     except OSError:
         pass  # a read-only directory: the next load parses again
     return arrays, report
@@ -423,20 +423,39 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write(path: Path, write: Callable[[BinaryIO], object]) -> None:
-    """Write `path` through `write` under a temporary name beside it, then
-    rename it into place, so that a failure never leaves a partial file.
-    The file gets the mode `open()` would give it: mkstemp's 0600 would hide
-    a shared corpus's cache, and the commands' reports, from other users."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+def encoded(path: Path, text: str) -> bytes:
+    """`text`, to be written to `path`, as UTF-8; text UTF-8 cannot hold,
+    such as an id with a lone surrogate, is an error naming path:line."""
     try:
-        with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~_umask())
-            write(fh)
-        os.replace(tmp, path)
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        line = text.count("\n", 0, exc.start) + 1
+        raise ValueError(
+            f"{path}:{line}: cannot write {exc.object[exc.start:exc.end]!r} "
+            f"as UTF-8 ({exc.reason})"
+        ) from None
+
+
+def write_files(writers: dict[Path, Callable[[BinaryIO], object]]) -> None:
+    """Write each path through its writer under a temporary name beside it,
+    and rename them all into place once every one is written; on a failure
+    every temporary is removed, so no file is replaced and none is partial
+    (a failed rename leaves those before it).  Each file gets the mode
+    `open()` would give it, where mkstemp's 0600 would hide it from others."""
+    staged = []
+    try:
+        for path, write in writers.items():
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+            staged.append((tmp, path))
+            with os.fdopen(fd, "wb") as fh:
+                os.fchmod(fh.fileno(), 0o666 & ~_umask())
+                write(fh)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -741,9 +760,11 @@ _WRITE_EVENTS = 1 << 14
 
 
 def save_corpus(corpus: AuthorCorpus, out_dir: str | Path) -> dict[str, Path]:
-    """Write authors.jsonl, awards.csv, catalog.csv; returns the paths."""
+    """Write authors.jsonl, awards.csv and catalog.csv into `out_dir`, all
+    or none (`write_files`); returns the paths.  The CSV text is encoded
+    before any directory or file is made, and authors.jsonl is written a
+    block of authors at a time, so the write's peak memory is one block's."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "authors": out / "authors.jsonl",
         "awards": out / "awards.csv",
@@ -751,28 +772,35 @@ def save_corpus(corpus: AuthorCorpus, out_dir: str | Path) -> dict[str, Path]:
     }
     arrays = corpus.arrays
     ids = sorted(arrays.index)
+    tables = {
+        "awards": [["author_id", "award_id", "year"]] + [
+            [author_id, grant.award_id, grant.year_conferred]
+            for author_id in ids
+            for grant in corpus.grants.get(author_id, ())
+        ],
+        "catalog": [["award_id", "name", "total_laureates"]] + [
+            [award_id, entry.name, entry.total_laureates]
+            for award_id, entry in sorted(corpus.catalog.items())
+        ],
+    }
+    writers = {
+        paths[name]: methodcaller("write", encoded(paths[name], csv_text(rows)))
+        for name, rows in tables.items()
+    }
     ks = np.fromiter(map(arrays.index.__getitem__, ids), np.int64, len(ids))
     author_events = arrays.event_start[arrays.starts]  # author k's: [k] to [k + 1]
     events = author_events[ks + 1] - author_events[ks]
     # A block is the authors whose first event falls in one _WRITE_EVENTS run.
     cuts = np.flatnonzero(np.diff((np.cumsum(events) - events) // _WRITE_EVENTS)) + 1
     edges = [0, *cuts.tolist(), len(ids)]
-    with open(paths["authors"], "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema_version": SCHEMA_VERSION}) + "\n")
+
+    def write_authors(fh: BinaryIO) -> None:
+        fh.write(json.dumps({"schema_version": SCHEMA_VERSION}).encode() + b"\n")
         for lo, hi in zip(edges, edges[1:]):
-            fh.write(_author_lines(arrays, ids[lo:hi], ks[lo:hi]))
-    with open(paths["awards"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["author_id", "award_id", "year"])
-        for author_id in ids:
-            for grant in corpus.grants.get(author_id, ()):
-                writer.writerow([author_id, grant.award_id, grant.year_conferred])
-    with open(paths["catalog"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["award_id", "name", "total_laureates"])
-        for award_id in sorted(corpus.catalog):
-            entry = corpus.catalog[award_id]
-            writer.writerow([award_id, entry.name, entry.total_laureates])
+            fh.write(_author_lines(arrays, ids[lo:hi], ks[lo:hi]).encode())
+
+    out.mkdir(parents=True, exist_ok=True)
+    write_files({paths["authors"]: write_authors, **writers})
     return paths
 
 

@@ -261,7 +261,7 @@ def test_unwritable_directory_loads_and_leaves_no_file(
 
 @pytest.fixture
 def umask(request):
-    """Run under the umask `request.param`, read afresh by `atomic_write`."""
+    """Run under the umask `request.param`, read afresh by `write_files`."""
     ingest._umask.cache_clear()
     old = os.umask(request.param)
     yield request.param
@@ -269,8 +269,9 @@ def umask(request):
     ingest._umask.cache_clear()
 
 
-# mkstemp creates 0600 whatever the umask; the cache and the CLI's reports
-# get the mode that open() gives, so a shared corpus's cache stays readable.
+# mkstemp creates 0600 whatever the umask; the cache, the CLI's reports and
+# synth's corpus get the mode that open() gives, so a shared corpus and its
+# cache stay readable.
 @pytest.mark.parametrize(
     "umask, mode", [(0o022, 0o644), (0o002, 0o664), (0o077, 0o600)],
     indirect=["umask"], ids=["022", "002", "077"],
@@ -282,6 +283,14 @@ def test_cache_and_reports_get_the_umask_mode(tmp_path, umask, mode):
     report = tmp_path / "out" / "report.csv"
     assert cli.main(["validate", "--corpus", str(tmp_path), "--report", str(report)]) == 0
     assert stat.S_IMODE(report.stat().st_mode) == mode
+    config = tmp_path / "config.json"
+    config.write_text('{"n_authors": 3}')
+    corpus = tmp_path / "synth"
+    assert cli.main(["synth", "--config", str(config), "--out", str(corpus)]) == 0
+    names = ["authors.jsonl", "awards.csv", "catalog.csv"]
+    assert sorted(p.name for p in corpus.iterdir()) == names
+    for name in names:
+        assert stat.S_IMODE((corpus / name).stat().st_mode) == mode
 
 
 def test_malformed_line_fails_alike_twice_and_is_never_cached(tmp_path, parses):

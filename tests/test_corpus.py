@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,7 @@ from scimetrics.corpus import (
     AuthorCorpus,
     AuthorProfile,
     PublicationRecord,
+    accrued,
     author_positions,
     in_view,
     snapshot_at,
@@ -275,3 +277,47 @@ class TestInvariants:
     def test_vector_ordering(self):
         with pytest.raises(ValueError):
             CitationVector((2, 3), (1, 1))
+
+
+def accrued_by_hand(since, owner, n_years, n, weights):
+    """`accrued` in Python ints, item by item and year by year."""
+    totals = [[0] * n for _ in range(n_years)]
+    for s, o, w in zip(since, owner, weights):
+        for year in range(s, n_years):
+            totals[year][o] += w
+    return totals
+
+
+class TestAccrued:
+    @pytest.mark.parametrize("n_years", [1, 2, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_python_ints(self, n_years, seed):
+        rng = np.random.default_rng(seed)
+        n, m = 6, 40
+        since = rng.integers(0, n_years + 1, m)  # n_years counts in no year
+        owner = rng.integers(0, n - 2, m)  # the last two owners have no items
+        weights = rng.integers(0, 2**31, m)
+        args = since.tolist(), owner.tolist(), n_years, n
+        weighted = accrued(since, owner, n_years, n, weights)
+        assert weighted.dtype == np.int64
+        assert weighted.tolist() == accrued_by_hand(*args, weights.tolist())
+        counted = accrued(since, owner, n_years, n)
+        assert counted.tolist() == accrued_by_hand(*args, [1] * m)
+
+    @pytest.mark.parametrize("n_years", [1, 3])
+    def test_no_items(self, n_years):
+        none = np.zeros(0, dtype=np.int64)
+        assert accrued(none, none, n_years, 4).tolist() == [[0] * 4] * n_years
+        assert accrued(none, none, n_years, 0).shape == (n_years, 0)
+
+    def test_totals_past_2_53_are_exact(self):
+        # 2^22 + 5 counted weights of 2^31 - 1: an odd total past 2^53,
+        # which float64 cannot hold.
+        m, weight = 2**22 + 6, 2**31 - 1
+        since = np.zeros(m, dtype=np.int32)
+        since[-1] = 2  # counts in neither year
+        owner = np.zeros(m, dtype=np.int32)
+        total = (m - 1) * weight
+        assert total > 2**53 and int(float(total)) != total
+        out = accrued(since, owner, 2, 2, np.full(m, weight, dtype=np.int32))
+        assert out.tolist() == [[total, 0], [total, 0]]

@@ -122,9 +122,9 @@ class TestCleanPublication:
         path = tmp_path / "authors.jsonl"
         path.write_text("\n".join(lines) + "\n")
         corpus, report = load_corpus(path)
-        assert report.total == 10000
+        assert report.accepted + report.rejected == 10000
         assert report.reject_log == expected
-        assert 0 < report.accepted < report.total
+        assert 0 < report.accepted < 10000
         kept = [p for a in corpus.authors.values() for p in a.publications]
         assert report.accepted == len(kept)
         for record in kept:
@@ -138,7 +138,7 @@ class TestLoadCorpus:
         path.write_text("")
         corpus, report = load_corpus(path)
         assert corpus.authors == {}
-        assert report.total == 0
+        assert report.accepted == report.rejected == 0
 
     def test_fixture_counts(self, tmp_path):
         pubs = [
