@@ -1,7 +1,11 @@
 """Command-line front door.
 
 Subcommands: validate, indices, evaluate, roc, corr-matrix, synth.  Every
-command is a pure function of its input files and flags.  `_write`, and
+command is a pure function of its input files and flags.  Evaluate's
+settings, and the award settings roc shares, are declared once, in
+`_SETTINGS`: each one's flag, type, default and choices, and the keys a
+manifest records.  CSV text comes from `ingest.csv_text`, save the ROC
+curves, whose numbers need no quoting and are joined by hand.  `_write`, and
 `ingest.save_corpus` for synth, write all of a command's outputs or none:
 every text is encoded first, and `ingest.write_files` renames the files into
 place only once all are written.  The one file a command may write besides
@@ -14,9 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
-import io
 import json
 import sys
 from operator import methodcaller
@@ -132,12 +134,6 @@ def _parse_years(spec: str) -> list[int]:
     return years
 
 
-def _csv_text(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     corpus, report = _load_corpus(args.corpus)
     print(f"authors: {len(corpus.arrays.index)}")
@@ -150,7 +146,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         outputs[Path(args.report)] = report.csv_text()
     if args.reject_log:
         rows = [["author_id", "pub_id", "reason"], *report.reject_log]
-        outputs[Path(args.reject_log)] = _csv_text(rows)
+        outputs[Path(args.reject_log)] = ingest.csv_text(rows, "\n")
     _write(outputs)
     return 0
 
@@ -163,7 +159,7 @@ def cmd_indices(args: argparse.Namespace) -> int:
     cells = _fmt_all(columns).T.tolist()
     rows = [["author_id"] + [m.value for m in measures]]
     rows += [[author_id, *row] for author_id, row in zip(ids, cells)]
-    _write({Path(args.out): _csv_text(rows)})
+    _write({Path(args.out): ingest.csv_text(rows, "\n")})
     return 0
 
 
@@ -193,30 +189,33 @@ def _filter_from_args(args: argparse.Namespace) -> AuthorFilter:
     )
 
 
-# Each evaluate flag a manifest records, with the `type` build_parser gives
-# it (str where it gives none).
-_MANIFEST_TYPES = {
-    "corpus": str,
-    "measures": str,
-    "criteria": str,
-    "years": str,
-    "horizon": int,
-    "award_scheme": str,
-    "award_threshold": int,
-    "award_factor": float,
-    "award_subset_frac": float,
-    "filter": str,
-    "max_avg_authors": float,
-    "window": str,
-    "seed": int,
+# Each evaluate setting by its manifest key, as the add_argument keywords of
+# its flag --key-with-hyphens: the type it parses to, its default and its
+# choices.  A manifest records exactly these keys.
+_SETTINGS = {
+    "corpus": dict(type=str, default=None),
+    "measures": dict(type=str, default="all"),
+    "criteria": dict(type=str, default="tau_b"),
+    "years": dict(type=str, default=None, help="START:END"),
+    "horizon": dict(type=int, default=5),
+    "filter": dict(type=str, default="all", choices=evaluation.FILTER_MODES),
+    "max_avg_authors": dict(type=float, default=100.0),
+    "window": dict(type=str, default="2000:2010"),
+    "award_scheme": dict(
+        type=str, default="equal_weight", choices=evaluation.AWARD_MODES
+    ),
+    "award_threshold": dict(type=int, default=100),
+    "award_factor": dict(type=float, default=10.0),
+    "award_subset_frac": dict(type=float, default=1.0),
+    "seed": dict(type=int, default=0),
 }
 _TYPE_NOUNS = {str: "a string", int: "an integer", float: "a number"}
 
 
 def _apply_manifest(args: argparse.Namespace) -> None:
-    """Set the flags a manifest records, each checked against the JSON type
-    its flag parses to: a number for a float flag, an integer for an int
-    flag (a bool is neither) and a string otherwise."""
+    """Set the settings a manifest records, each checked against the JSON
+    type its flag parses to in `_SETTINGS`: a number for a float flag, an
+    integer for an int flag (a bool is neither) and a string otherwise."""
     path = args.manifest
     config = _read_json(path)
     if not isinstance(config, dict):
@@ -225,14 +224,14 @@ def _apply_manifest(args: argparse.Namespace) -> None:
         raise ValueError(
             f"{path}: not an evaluate manifest: command {json.dumps(config['command'])}"
         )
-    unknown = set(config) - {"command", *_MANIFEST_TYPES}
+    unknown = set(config) - {"command", *_SETTINGS}
     if unknown:
         raise ValueError(f"{path}: unknown manifest keys {sorted(unknown)}")
     for key, value in config.items():
         if key != "command":
             setattr(args, key, value)
-    for key, kind in _MANIFEST_TYPES.items():
-        value = getattr(args, key)
+    for key, setting in _SETTINGS.items():
+        kind, value = setting["type"], getattr(args, key)
         accepted = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise ValueError(
@@ -257,8 +256,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for ((measure, criterion), result), values in zip(grid.items(), cells):
         rows = [["year", "value", "n_authors"]]
         rows += zip(result.years, values, result.n_authors)
-        outputs[out_dir / f"{measure.value}_{criterion}.csv"] = _csv_text(rows)
-    config = {"command": "evaluate", **{k: getattr(args, k) for k in _MANIFEST_TYPES}}
+        name = f"{measure.value}_{criterion}.csv"
+        outputs[out_dir / name] = ingest.csv_text(rows, "\n")
+    config = {"command": "evaluate", **{k: getattr(args, k) for k in _SETTINGS}}
     outputs[out_dir / "manifest.json"] = (
         json.dumps(config, indent=2, sort_keys=True) + "\n"
     )
@@ -292,7 +292,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
         [m.value, auc, "ok" if m in curves else "degenerate"]
         for m, auc in zip(measures, aucs.tolist())
     ]
-    outputs[out_dir / "auc_summary.csv"] = _csv_text(summary)
+    outputs[out_dir / "auc_summary.csv"] = ingest.csv_text(summary, "\n")
     _write(outputs)
     return 0
 
@@ -309,7 +309,7 @@ def cmd_corr_matrix(args: argparse.Namespace) -> int:
         cells = _fmt_all(evaluation.measure_correlation_matrix(by_year[year])).tolist()
         rows = [["measure"] + [m.value for m in measures]]
         rows += [[m.value, *row] for m, row in zip(measures, cells)]
-        outputs[out_dir / f"corr_{year}.csv"] = _csv_text(rows)
+        outputs[out_dir / f"corr_{year}.csv"] = ingest.csv_text(rows, "\n")
     _write(outputs)
     return 0
 
@@ -340,14 +340,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_scheme_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--award-scheme", default="equal_weight", choices=evaluation.AWARD_MODES
-    )
-    parser.add_argument("--award-threshold", type=int, default=100)
-    parser.add_argument("--award-factor", type=float, default=10.0)
-    parser.add_argument("--award-subset-frac", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=0)
+def _add_settings(parser: argparse.ArgumentParser, keys) -> None:
+    """Add the flag of each of `keys`, as `_SETTINGS` declares it."""
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), **_SETTINGS[key])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,17 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_indices)
 
     p = sub.add_parser("evaluate", help="effectiveness/predictive-power series")
-    p.add_argument("--corpus")
-    p.add_argument("--measures", default="all")
-    p.add_argument("--criteria", default="tau_b")
-    p.add_argument("--years", help="START:END")
-    p.add_argument("--horizon", type=int, default=5)
-    p.add_argument(
-        "--filter", default="all", choices=evaluation.FILTER_MODES
-    )
-    p.add_argument("--max-avg-authors", type=float, default=100.0)
-    p.add_argument("--window", default="2000:2010")
-    _add_scheme_flags(p)
+    _add_settings(p, _SETTINGS)
     p.add_argument("--manifest", help="re-run from a recorded manifest")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_evaluate)
@@ -390,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--year", type=int, required=True)
     p.add_argument("--measures", default="all")
-    _add_scheme_flags(p)
+    _add_settings(p, ["award_scheme", *_SCHEME_FLAGS.values()])
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_roc)
 

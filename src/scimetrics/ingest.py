@@ -43,6 +43,7 @@ from .corpus import (
     AwardGrant,
     ColumnBuilder,
     CorpusArrays,
+    runs,
 )
 from .errors import ParseError
 
@@ -76,10 +77,10 @@ class CleaningReport:
         return csv_text([["reason", "count"], ["accepted", self.accepted], *counts])
 
 
-def csv_text(rows: Iterable[Iterable[object]]) -> str:
-    """`rows` as CSV text in the csv default dialect, CRLF rows."""
+def csv_text(rows: Iterable[Iterable[object]], newline: str = "\r\n") -> str:
+    """`rows` as CSV text in the csv default dialect, each row ended by `newline`."""
     buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
+    csv.writer(buf, lineterminator=newline).writerows(rows)
     return buf.getvalue()
 
 
@@ -663,9 +664,10 @@ def _walk(columns: ColumnBuilder, report: CleaningReport, obj) -> None:
 def _csv_records(fh: Iterable[str], path: str | Path) -> Iterator[tuple[int, dict]]:
     """The records of a CSV file after its header row, each as a dict by the
     header with the number of the physical line it starts on.  A quoted
-    field can hold line breaks, so a record can span lines, and
-    csv.DictReader skips empty lines, so the count of records is not a line
-    number."""
+    field can hold line breaks, so a record can span lines, and empty lines
+    are skipped, so the count of records is not a line number.  A header
+    that repeats a name, or a record with more or fewer fields than the
+    header, fails at its line."""
     start = []  # the first line the reader pulled since the last record
 
     def lines() -> Iterator[str]:
@@ -674,11 +676,18 @@ def _csv_records(fh: Iterable[str], path: str | Path) -> Iterator[tuple[int, dic
                 start.append(lineno)
             yield line
 
-    reader = csv.DictReader(lines())
-    reader.fieldnames  # reads the header row
+    reader = csv.reader(lines())
+    header = next(reader, [])
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ParseError(str(path), 1, f"header repeats column {name!r}")
     start.clear()
-    for row in reader:
-        yield start.pop(), row
+    for row in filter(None, reader):
+        lineno = start.pop()
+        if len(row) != len(header):
+            message = f"record has {len(row)} fields, header has {len(header)}"
+            raise ParseError(str(path), lineno, message)
+        yield lineno, dict(zip(header, row))
 
 
 def load_catalog(path: str | Path) -> dict[str, AwardCatalogEntry]:
@@ -790,13 +799,11 @@ def save_corpus(corpus: AuthorCorpus, out_dir: str | Path) -> dict[str, Path]:
     ks = np.fromiter(map(arrays.index.__getitem__, ids), np.int64, len(ids))
     author_events = arrays.event_start[arrays.starts]  # author k's: [k] to [k + 1]
     events = author_events[ks + 1] - author_events[ks]
-    # A block is the authors whose first event falls in one _WRITE_EVENTS run.
-    cuts = np.flatnonzero(np.diff((np.cumsum(events) - events) // _WRITE_EVENTS)) + 1
-    edges = [0, *cuts.tolist(), len(ids)]
+    end = np.cumsum(events)  # author i's events: end[i] - events[i] to end[i]
 
     def write_authors(fh: BinaryIO) -> None:
         fh.write(json.dumps({"schema_version": SCHEMA_VERSION}).encode() + b"\n")
-        for lo, hi in zip(edges, edges[1:]):
+        for lo, hi in runs(end - events, end, _WRITE_EVENTS):
             fh.write(_author_lines(arrays, ids[lo:hi], ks[lo:hi]).encode())
 
     out.mkdir(parents=True, exist_ok=True)

@@ -327,11 +327,36 @@ class TestEvaluate:
         assert not out.exists()
 
     def test_manifest_records_every_flag(self):
-        # A flag missing from _MANIFEST_TYPES would be left out of manifests,
-        # and a rerun would silently take its default.
+        # A flag missing from _SETTINGS would be left out of manifests, and a
+        # rerun would silently take its default.
         args = vars(build_parser().parse_args(["evaluate", "--out", "o"]))
         recorded = set(args) - {"command", "func", "manifest", "out"}
-        assert recorded == set(cli._MANIFEST_TYPES)
+        assert recorded == set(cli._SETTINGS)
+
+    def test_manifest_of_the_default_settings(self, corpus_dir, tmp_path):
+        # The JSON text pins each value's type: 100.0, not 100.
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--corpus", str(corpus_dir), "--years", "2010:2010",
+                     "--out", str(out)]) == 0
+        expected = {
+            "command": "evaluate",
+            "corpus": str(corpus_dir),
+            "measures": "all",
+            "criteria": "tau_b",
+            "years": "2010:2010",
+            "horizon": 5,
+            "filter": "all",
+            "max_avg_authors": 100.0,
+            "window": "2000:2010",
+            "award_scheme": "equal_weight",
+            "award_threshold": 100,
+            "award_factor": 10.0,
+            "award_subset_frac": 1.0,
+            "seed": 0,
+        }
+        assert (out / "manifest.json").read_text() == (
+            json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        )
 
     def test_one_measure_table_over_the_years(
         self, corpus_dir, tmp_path, monkeypatch
@@ -371,6 +396,20 @@ class TestEvaluate:
 
 
 class TestRoc:
+    def test_default_settings(self):
+        argv = ["roc", "--corpus", "c", "--year", "2010", "--out", "o"]
+        args = vars(build_parser().parse_args(argv))
+        del args["func"]
+        expected = {
+            "command": "roc", "corpus": "c", "year": 2010, "measures": "all",
+            "out": "o", "award_scheme": "equal_weight", "award_threshold": 100,
+            "award_factor": 10.0, "award_subset_frac": 1.0, "seed": 0,
+        }
+        # == holds for 100 and 100.0 alike, so compare the types too
+        assert [(k, v, type(v)) for k, v in sorted(args.items())] == [
+            (k, v, type(v)) for k, v in sorted(expected.items())
+        ]
+
     def test_fixture_auc(self, tmp_path):
         # 3 authors: ranking s1 > s2 > s3 by h, awards (2, 0, 1) -> AUC 2/3.
         authors = [

@@ -16,6 +16,7 @@ from scimetrics.corpus import (
     accrued,
     author_positions,
     in_view,
+    runs,
     snapshot_at,
 )
 from scimetrics.ingest import load_corpus
@@ -321,3 +322,33 @@ class TestAccrued:
         assert total > 2**53 and int(float(total)) != total
         out = accrued(since, owner, 2, 2, np.full(m, weight, dtype=np.int32))
         assert out.tolist() == [[total, 0], [total, 0]]
+
+
+def greedy_runs(lengths, size):
+    """Runs of items laid end to end with these lengths: each run takes the
+    next item while its span stays within size, and always one item."""
+    out, i = [], 0
+    while i < len(lengths):
+        j, span = i + 1, lengths[i]
+        while j < len(lengths) and span + lengths[j] <= size:
+            span += lengths[j]
+            j += 1
+        out.append((i, j))
+        i = j
+    return out
+
+
+class TestRuns:
+    @given(st.lists(st.integers(0, 12), max_size=30), st.integers(1, 30))
+    def test_greedy_partition(self, lengths, size):
+        end = np.cumsum(np.array(lengths, dtype=np.int64))
+        got = list(runs(end - lengths, end, size))
+        assert got == greedy_runs(lengths, size)
+        # the runs tile [0, n) in order
+        edges = [i for i, _ in got] + [len(lengths)]
+        assert [j for _, j in got] == edges[1:] and edges[0] == 0
+        for i, j in got:
+            span = sum(lengths[i:j])
+            assert span <= size or j - i == 1
+            # maximal: the next item would take the run past size
+            assert j == len(lengths) or span + lengths[j] > size

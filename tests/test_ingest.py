@@ -340,6 +340,8 @@ class TestLoadCorpus:
             ("a1,aw,2_001", "year '2_001' is not a canonical decimal year"),
             ("a1,aw, 2001", "year ' 2001' is not a canonical decimal year"),
             ("a1,aw,3000", "year 3000 after 2030"),
+            ("a1,aw,2001,junk", "record has 4 fields, header has 3"),
+            ("a1,aw", "record has 2 fields, header has 3"),
         ],
     )
     def test_bad_grant_fails_with_location(self, tmp_path, row, message):
@@ -372,6 +374,48 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match=re.escape(message)) as err:
             load_corpus(tmp_path / "authors.jsonl", catalog_path=catalog)
         assert str(err.value).startswith(f"{catalog}:3: ")
+
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            ("x,X,5\ny,Y,9,extra\n", 3, "record has 4 fields, header has 3"),
+            ("x,X,5\ny,Y\n", 3, "record has 2 fields, header has 3"),
+            # a record spanning lines 3-4 after an empty line 2
+            ('\ny,"Y\nZ",9,extra\n', 3, "record has 4 fields, header has 3"),
+        ],
+        ids=["long", "short", "spanning"],
+    )
+    def test_catalog_row_not_fitting_header_fails_with_location(
+        self, tmp_path, rows, line, message
+    ):
+        (tmp_path / "authors.jsonl").write_text("")
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text(f"award_id,name,total_laureates\n{rows}")
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            load_corpus(tmp_path / "authors.jsonl", catalog_path=catalog)
+        assert str(err.value).startswith(f"{catalog}:{line}: ")
+
+    @pytest.mark.parametrize(
+        "name, header",
+        [
+            ("catalog.csv", "award_id,name,total_laureates,total_laureates"),
+            ("awards.csv", "author_id,award_id,year,award_id"),
+        ],
+    )
+    def test_header_repeating_a_name_fails_at_the_header(self, tmp_path, name, header):
+        files = {
+            "authors.jsonl": '{"author_id": "a1", "publications": []}\n',
+            "awards.csv": "author_id,award_id,year\na1,aw,2000\n",
+            "catalog.csv": "award_id,name,total_laureates\naw,Prize,5\n",
+        }
+        files[name] = f"{header}\n" + files[name].partition("\n")[2]
+        for file, text in files.items():
+            (tmp_path / file).write_text(text, encoding="utf-8")
+        repeated = header.rpartition(",")[2]
+        message = f"header repeats column {repeated!r}"
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            load_corpus(*(tmp_path / file for file in files))
+        assert str(err.value).startswith(f"{tmp_path / name}:1: ")
 
     @pytest.mark.parametrize(
         "name, rows, message",
