@@ -1,5 +1,9 @@
 """Immutable data model for authors, publications, citations, and awards,
-plus temporal snapshots restricting a corpus to an observation year."""
+plus temporal snapshots restricting a corpus to an observation year.
+
+A publication's citations are its rows of the event columns of
+`CorpusArrays`; `citations_through` is the one reader that turns them into
+totals through a year."""
 
 from __future__ import annotations
 
@@ -131,13 +135,13 @@ class AuthorCorpus:
     def authors(self) -> dict[str, AuthorProfile]:
         """The profiles, in corpus order, rebuilt from the columns."""
         a = self.arrays
+        bounds = a.event_start.tolist()
+        years, counts = a.event_year.tolist(), a.event_count.tolist()
         pubs = [
-            PublicationRecord(pub_id, year, count, dict(zip(*cites)))
-            for pub_id, year, count, cites in zip(
-                a.pub_id,
-                a.effective_year.tolist(),
-                a.author_count.tolist(),
-                a.citations(0, len(a.pub_id)),
+            PublicationRecord(pub_id, year, n, dict(zip(years[b:e], counts[b:e])))
+            for pub_id, year, n, b, e in zip(
+                a.pub_id, a.effective_year.tolist(), a.author_count.tolist(),
+                bounds, bounds[1:],
             )
         ]
         starts = a.starts.tolist()
@@ -175,18 +179,6 @@ class CorpusArrays:
     event_start: np.ndarray  # int64, one more than there are publications
     event_year: np.ndarray  # int32 per citation event
     event_count: np.ndarray  # int32 per citation event
-
-    def citations(
-        self, first: int, last: int
-    ) -> Iterator[tuple[list[int], list[int]]]:
-        """Each of publications first:last as its citation years and the
-        counts of those years."""
-        bounds = self.event_start[first : last + 1].tolist()
-        lo = bounds[0]
-        years = self.event_year[lo : bounds[-1]].tolist()
-        counts = self.event_count[lo : bounds[-1]].tolist()
-        for begin, end in zip(bounds, bounds[1:]):
-            yield years[begin - lo : end - lo], counts[begin - lo : end - lo]
 
 
 class ColumnBuilder:
@@ -359,14 +351,6 @@ class Snapshot:
     observation_year: int
     corpus: AuthorCorpus
 
-    @cached_property
-    def citations(self) -> np.ndarray:
-        """int64 per publication: its citations through observation_year,
-        summed on first read."""
-        arrays = self.corpus.arrays
-        years = np.array([self.observation_year])
-        return citations_through(arrays, 0, len(arrays.pub_id), years)[0]
-
 
 def author_positions(arrays: CorpusArrays, ids: list[str]) -> np.ndarray:
     """The corpus position of each of `ids`; an unknown id is a KeyError."""
@@ -394,8 +378,9 @@ def snapshot_at(corpus: AuthorCorpus, year: int) -> Snapshot:
     """Restrict the corpus to publications with effective_year <= year and
     citations accrued through the end of that year.
 
-    Authors with no publications yet remain present with empty sets.  No
-    per-publication work is done until `Snapshot.citations` is read.
+    Authors with no publications yet remain present with empty sets.  Only
+    the year is checked: a snapshot does no per-publication work, and
+    `citations_through` sums the citations of publications in its view.
     """
     check_years([year])
     return Snapshot(observation_year=year, corpus=corpus)

@@ -8,8 +8,8 @@ Formats:
                  with string ids, name and field, integer year, authors and
                  counts, and boolean flags; an optional first line
                  {"schema_version": 1} is honored.
-  awards.csv     header author_id,award_id,year
-  catalog.csv    header award_id,name,total_laureates
+  awards.csv     header exactly author_id,award_id,year (AWARDS_COLUMNS)
+  catalog.csv    header exactly award_id,name,total_laureates (CATALOG_COLUMNS)
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ from .corpus import (
 from .errors import ParseError
 
 SCHEMA_VERSION = 1
+# Each CSV file's header: exactly these names, in this order.
+AWARDS_COLUMNS = ("author_id", "award_id", "year")
+CATALOG_COLUMNS = ("award_id", "name", "total_laureates")
 
 REJECT_MISSING_AUTHORS = "missing_authors"
 REJECT_MISSING_YEAR = "missing_year"
@@ -661,13 +664,16 @@ def _walk(columns: ColumnBuilder, report: CleaningReport, obj) -> None:
     columns.add_author(author_id, name, field_tag)
 
 
-def _csv_records(fh: Iterable[str], path: str | Path) -> Iterator[tuple[int, dict]]:
-    """The records of a CSV file after its header row, each as a dict by the
-    header with the number of the physical line it starts on.  A quoted
+def _csv_records(
+    fh: Iterable[str], path: str | Path, columns: tuple[str, ...]
+) -> Iterator[tuple[int, list[str]]]:
+    """The records of a CSV file after its header row, each as its list of
+    fields with the number of the physical line it starts on.  A quoted
     field can hold line breaks, so a record can span lines, and empty lines
     are skipped, so the count of records is not a line number.  A header
-    that repeats a name, or a record with more or fewer fields than the
-    header, fails at its line."""
+    that repeats a name or is not exactly `columns`, in order, or a record
+    with more or fewer fields than the header, fails at its line; an empty
+    file has no records."""
     start = []  # the first line the reader pulled since the last record
 
     def lines() -> Iterator[str]:
@@ -681,28 +687,27 @@ def _csv_records(fh: Iterable[str], path: str | Path) -> Iterator[tuple[int, dic
     for i, name in enumerate(header):
         if name in header[:i]:
             raise ParseError(str(path), 1, f"header repeats column {name!r}")
+    if header and tuple(header) != columns:
+        message = f"header {','.join(header)!r} is not {','.join(columns)!r}"
+        raise ParseError(str(path), 1, message)
     start.clear()
     for row in filter(None, reader):
         lineno = start.pop()
         if len(row) != len(header):
             message = f"record has {len(row)} fields, header has {len(header)}"
             raise ParseError(str(path), lineno, message)
-        yield lineno, dict(zip(header, row))
+        yield lineno, row
 
 
 def load_catalog(path: str | Path) -> dict[str, AwardCatalogEntry]:
     catalog: dict[str, AwardCatalogEntry] = {}
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, row in _csv_records(fh, path):
+        for lineno, (award_id, name, total) in _csv_records(fh, path, CATALOG_COLUMNS):
             try:
                 entry = AwardCatalogEntry(
-                    award_id=row["award_id"],
-                    name=row.get("name", ""),
-                    total_laureates=_decimal(
-                        row["total_laureates"], "total_laureates"
-                    ),
+                    award_id, name, _decimal(total, "total_laureates")
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ParseError(str(path), lineno, f"bad catalog row: {exc}") from exc
             if entry.award_id in catalog:
                 raise ParseError(
@@ -722,14 +727,12 @@ def load_grants(
     fails at its line."""
     grants: dict[str, list[AwardGrant]] = {}
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, row in _csv_records(fh, path):
+        for lineno, (author_id, award_id, year) in _csv_records(
+            fh, path, AWARDS_COLUMNS
+        ):
             try:
-                author_id = row["author_id"]
-                grant = AwardGrant(
-                    award_id=row["award_id"],
-                    year_conferred=_year(_decimal(row["year"], "year", "year")),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
+                grant = AwardGrant(award_id, _year(_decimal(year, "year", "year")))
+            except ValueError as exc:
                 raise ParseError(str(path), lineno, f"bad award row: {exc}") from exc
             if author_id not in author_ids:
                 raise ParseError(
@@ -782,12 +785,12 @@ def save_corpus(corpus: AuthorCorpus, out_dir: str | Path) -> dict[str, Path]:
     arrays = corpus.arrays
     ids = sorted(arrays.index)
     tables = {
-        "awards": [["author_id", "award_id", "year"]] + [
+        "awards": [AWARDS_COLUMNS] + [
             [author_id, grant.award_id, grant.year_conferred]
             for author_id in ids
             for grant in corpus.grants.get(author_id, ())
         ],
-        "catalog": [["award_id", "name", "total_laureates"]] + [
+        "catalog": [CATALOG_COLUMNS] + [
             [award_id, entry.name, entry.total_laureates]
             for award_id, entry in sorted(corpus.catalog.items())
         ],

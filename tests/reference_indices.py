@@ -2,8 +2,9 @@
 
 Each author's publications in view become one object per paper, each
 normalizer's citation vector is sorted in Python, and every measure is a
-loop over that vector.  It shares only the Measure names and the snapshot's
-per-publication citation counts with the library, so the tests can hold
+loop over that vector.  Each paper's citations through the year are its
+citation events added one by one in Python.  It shares only the Measure
+names and the corpus columns with the library, so the tests can hold
 `measure_table` (and `measure_columns` and `compute_all`, its one-year and
 one-author views) to it value for value and type for type.
 """
@@ -36,20 +37,42 @@ _PUBLICATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def publications(snapshot: Snapshot) -> dict[str, tuple[SnapshotPublication, ...]]:
     """Each author's publications in view, in publication order; built once
-    per snapshot, from the corpus's `authors` view."""
+    per snapshot, straight from the corpus columns."""
     if snapshot not in _PUBLICATIONS:
-        cites = iter(snapshot.citations.tolist())
-        # zip stops at an author's last paper without taking a count from
-        # `cites`, so the counts stay aligned with the next author's papers.
+        a = snapshot.corpus.arrays
+        year = snapshot.observation_year
+        starts, bounds = a.starts.tolist(), a.event_start.tolist()
+        pub_years, author_counts = a.effective_year.tolist(), a.author_count.tolist()
         _PUBLICATIONS[snapshot] = {
             author_id: tuple(
-                SnapshotPublication(p.pub_id, p.effective_year, p.author_count, int(c))
-                for p, c in zip(author.publications, cites)
-                if p.effective_year <= snapshot.observation_year
+                SnapshotPublication(
+                    a.pub_id[i], pub_years[i], author_counts[i],
+                    cited_through(a, bounds[i], bounds[i + 1], year),
+                )
+                for i in range(starts[k], starts[k + 1])
+                if pub_years[i] <= year
             )
-            for author_id, author in snapshot.corpus.authors.items()
+            for author_id, k in a.index.items()
         }
     return _PUBLICATIONS[snapshot]
+
+
+# Events converted to Python ints at once, so that a paper with millions of
+# events holds no list of them all.
+_EVENTS_AT_ONCE = 1 << 16
+
+
+def cited_through(arrays, first: int, last: int, year: int) -> int:
+    """The counts of citation events first:last dated at or before `year`,
+    added one event at a time, so a year a paper lists twice counts twice."""
+    total = 0
+    for lo in range(first, last, _EVENTS_AT_ONCE):
+        hi = min(lo + _EVENTS_AT_ONCE, last)
+        years = arrays.event_year[lo:hi].tolist()
+        for y, c in zip(years, arrays.event_count[lo:hi].tolist()):
+            if y <= year:
+                total += c
+    return total
 
 
 @dataclass(frozen=True)

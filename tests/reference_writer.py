@@ -18,6 +18,9 @@ def write_authors(corpus, path) -> None:
     starts = arrays.starts.tolist()
     years = arrays.effective_year.tolist()
     counts = arrays.author_count.tolist()
+    bounds = arrays.event_start.tolist()
+    cite_years = arrays.event_year.tolist()
+    cite_counts = arrays.event_count.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"schema_version": SCHEMA_VERSION}) + "\n")
         for author_id in sorted(arrays.index):
@@ -32,11 +35,12 @@ def write_authors(corpus, path) -> None:
                         "pub_id": arrays.pub_id[i],
                         "year": years[i],
                         "authors": counts[i],
-                        "cites": dict(zip(map(str, cite_years), cite_counts)),
+                        "cites": {
+                            str(cite_years[e]): cite_counts[e]
+                            for e in range(bounds[i], bounds[i + 1])
+                        },
                     }
-                    for i, (cite_years, cite_counts) in zip(
-                        range(first, last), arrays.citations(first, last)
-                    )
+                    for i in range(first, last)
                 ],
             }
             fh.write(json.dumps(obj, sort_keys=True) + "\n")

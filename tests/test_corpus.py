@@ -9,17 +9,27 @@ from reference_indices import (
     avg_authors_per_publication,
     citation_vector,
 )
+from scimetrics import corpus as corpus_module
 from scimetrics.corpus import (
     AuthorCorpus,
     AuthorProfile,
+    CorpusArrays,
     PublicationRecord,
     accrued,
     author_positions,
+    citations_through,
     in_view,
     runs,
     snapshot_at,
 )
 from scimetrics.ingest import load_corpus
+
+
+def snapshot_citations(snap):
+    """int64 per publication of the snapshot's corpus: its citations through
+    the observation year."""
+    n = len(snap.corpus.arrays.pub_id)
+    return citations_through(snap.corpus.arrays, 0, n, [snap.observation_year])[0]
 
 
 def make_author(author_id, pubs):
@@ -54,7 +64,7 @@ class TestSnapshot:
         snap = snapshot_at(corpus, 2010)
         row, pub = in_view(corpus.arrays, author_positions(corpus.arrays, ["a1"]), 2010)
         assert row.tolist() == pub.tolist() == [0]
-        assert snap.citations.tolist() == [3]
+        assert snapshot_citations(snap).tolist() == [3]
 
     def test_boundary_exclusion(self):
         corpus = single_author_corpus(
@@ -88,7 +98,7 @@ class TestSnapshot:
         for year in range(1980, 2020, 4):
             snap = snapshot_at(random_corpus, year)
             _, pub = in_view(arrays, positions, year)
-            snap_total = sum(snap.citations[pub].tolist())
+            snap_total = sum(snapshot_citations(snap)[pub].tolist())
             assert snap_total == brute_totals(year)
             assert snap_total >= prev
             prev = snap_total
@@ -139,7 +149,7 @@ class TestSnapshot:
                 sum(c for y, c in (p.get("cites") or {}).items() if int(y) <= year)
                 for p in pubs
             ]
-            assert snapshot_at(corpus, year).citations.tolist() == expected
+            assert snapshot_citations(snapshot_at(corpus, year)).tolist() == expected
 
 
 @pytest.fixture
@@ -322,6 +332,47 @@ class TestAccrued:
         assert total > 2**53 and int(float(total)) != total
         out = accrued(since, owner, 2, 2, np.full(m, weight, dtype=np.int32))
         assert out.tolist() == [[total, 0], [total, 0]]
+
+
+class TestCitationsThrough:
+    @given(
+        pubs=st.lists(
+            st.lists(
+                st.tuples(st.integers(2000, 2005), st.integers(0, 2**31 - 1)),
+                max_size=5,
+            ),
+            max_size=8,
+        ),
+        years=st.lists(
+            st.integers(1999, 2006), min_size=1, max_size=4, unique=True
+        ).map(sorted),
+        chunk=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_equal_to_python_sum(self, pubs, years, chunk, data):
+        # Each paper's events, with its years repeated and uncited papers
+        # drawn, in runs split every 1-3 events.
+        first = data.draw(st.integers(0, len(pubs)))
+        last = data.draw(st.integers(first, len(pubs)))
+        events = [event for pub in pubs for event in pub]
+        n = len(pubs)
+        arrays = CorpusArrays(
+            index={"a": 0}, names=["a"], fields=["other"],
+            starts=np.array([0, n]), pub_id=[f"p{i}" for i in range(n)],
+            effective_year=np.full(n, 2000, dtype=np.int32),
+            author_count=np.ones(n, dtype=np.int32),
+            event_start=np.cumsum([0] + [len(pub) for pub in pubs], dtype=np.int64),
+            event_year=np.array([y for y, _ in events], dtype=np.int32),
+            event_count=np.array([c for _, c in events], dtype=np.int32),
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus_module, "_EVENT_CHUNK", chunk)
+            got = citations_through(arrays, first, last, np.array(years))
+        assert got.dtype == np.int64
+        assert got.tolist() == [
+            [sum(c for y, c in pub if y <= year) for pub in pubs[first:last]]
+            for year in years
+        ]
 
 
 def greedy_runs(lengths, size):

@@ -23,6 +23,7 @@ from scimetrics.ingest import (
     save_corpus,
 )
 from scimetrics.synth import SynthConfig, generate
+from test_corpus import snapshot_citations
 
 
 def load_publications(tmp_path, pubs):
@@ -205,7 +206,7 @@ class TestLoadCorpus:
         assert loaded.authors["a1"].publications == pubs
         snap = snapshot_at(loaded, 1950)
         _, pub = in_view(loaded.arrays, author_positions(loaded.arrays, ["a1"]), 1950)
-        assert snap.citations[pub].tolist() == [6, 5]
+        assert snapshot_citations(snap)[pub].tolist() == [6, 5]
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "authors.jsonl"
@@ -416,6 +417,46 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match=re.escape(message)) as err:
             load_corpus(*(tmp_path / file for file in files))
         assert str(err.value).startswith(f"{tmp_path / name}:1: ")
+
+    @pytest.mark.parametrize("records", [False, True], ids=["no-records", "records"])
+    @pytest.mark.parametrize(
+        "name, header",
+        [
+            ("catalog.csv", "award,title,laureates"),
+            ("catalog.csv", "name,award_id,total_laureates"),
+            ("catalog.csv", "award_id,total_laureates"),
+            ("awards.csv", "who,what,when"),
+            ("awards.csv", "award_id,author_id,year"),
+        ],
+        ids=["catalog-misnamed", "catalog-reordered", "catalog-nameless",
+             "awards-misnamed", "awards-reordered"],
+    )
+    def test_header_other_than_the_columns_fails_at_the_header(
+        self, tmp_path, name, header, records
+    ):
+        files = {
+            "authors.jsonl": '{"author_id": "a1", "publications": []}\n',
+            "awards.csv": "author_id,award_id,year\na1,aw,2000\n",
+            "catalog.csv": "award_id,name,total_laureates\naw,Prize,5\n",
+        }
+        columns, _, rows = files[name].partition("\n")
+        files[name] = f"{header}\n{rows if records else ''}"
+        for file, text in files.items():
+            (tmp_path / file).write_text(text, encoding="utf-8")
+        message = f"header {header!r} is not {columns!r}"
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            load_corpus(*(tmp_path / file for file in files))
+        assert str(err.value).startswith(f"{tmp_path / name}:1: ")
+
+    def test_empty_csv_files_have_no_records(self, tmp_path):
+        authors = tmp_path / "authors.jsonl"
+        authors.write_text('{"author_id": "a1", "publications": []}\n')
+        for file in ("awards.csv", "catalog.csv"):
+            (tmp_path / file).write_bytes(b"")
+        corpus, _ = load_corpus(
+            authors, tmp_path / "awards.csv", tmp_path / "catalog.csv"
+        )
+        assert (corpus.grants, corpus.catalog) == ({}, {})
 
     @pytest.mark.parametrize(
         "name, rows, message",

@@ -1,6 +1,6 @@
 """measure_table, the per-year measure table, against its one-year view
 measure_columns and the per-author reference in reference_indices.py: equal
-bits, never approximately.  Snapshot.citations against the raw records."""
+bits, never approximately.  Citations through a year against the raw records."""
 
 import json
 import tracemalloc
@@ -24,6 +24,7 @@ from scimetrics.indices import Measure, measure_columns, measure_table
 from scimetrics.ingest import load_corpus
 from scimetrics.synth import REGIMES, SynthConfig, generate
 from test_columns import tied_corpora
+from test_corpus import snapshot_citations
 
 ALL = list(Measure)
 
@@ -174,7 +175,7 @@ class TestSnapshotCitations:
         corpus = generate(config)
         pubs = [p for author in corpus.authors.values() for p in author.publications]
         for year in range(1978, 2022):
-            got = snapshot_at(corpus, year).citations
+            got = snapshot_citations(snapshot_at(corpus, year))
             assert got.dtype == np.int64
             assert got.tolist() == [
                 sum(c for y, c in p.citations_by_year.items() if y <= year)
@@ -184,7 +185,7 @@ class TestSnapshotCitations:
     def test_edges_crossed(self, loaded, tiny_bounds):
         pubs = [p for line in LINES for p in line["publications"]]
         for year in (1950, 1999, 2002, 2004, 2012):
-            assert snapshot_at(loaded, year).citations.tolist() == [
+            assert snapshot_citations(snapshot_at(loaded, year)).tolist() == [
                 sum(c for y, c in (p.get("cites") or {}).items() if int(y) <= year)
                 for p in pubs
             ]
@@ -212,8 +213,9 @@ class TestSnapshotCitations:
     @pytest.mark.parametrize("mode", FILTER_MODES)
     def test_series_grid_never_reads_them(self, mode, monkeypatch):
         corpus = generate(SynthConfig(rng_seed=2, n_authors=30))
+        # The table sums the citations itself: no snapshot is built to read.
         monkeypatch.setattr(
-            Snapshot, "citations", property(lambda _: pytest.fail("citations read"))
+            Snapshot, "__init__", lambda *_: pytest.fail("snapshot built")
         )
         grid = series_grid(
             corpus, [Measure.H], ["tau_b"], (2000, 2010), horizon=2,
