@@ -138,7 +138,7 @@ class AuthorCorpus:
         bounds = a.event_start.tolist()
         years, counts = a.event_year.tolist(), a.event_count.tolist()
         pubs = [
-            PublicationRecord(pub_id, year, n, dict(zip(years[b:e], counts[b:e])))
+            PublicationRecord(pub_id, year, n, _by_year(years[b:e], counts[b:e]))
             for pub_id, year, n, b, e in zip(
                 a.pub_id, a.effective_year.tolist(), a.author_count.tolist(),
                 bounds, bounds[1:],
@@ -155,6 +155,17 @@ class AuthorCorpus:
             )
             for k, author_id in enumerate(a.index)
         }
+
+
+def _by_year(years: list[int], counts: list[int]) -> dict[int, int]:
+    """Citation counts by year; columns built directly, unlike the loaders,
+    may repeat a year within a paper, and its counts are then summed."""
+    cites = dict(zip(years, counts))
+    if len(cites) < len(years):
+        cites = dict.fromkeys(cites, 0)
+        for year, count in zip(years, counts):
+            cites[year] += count
+    return cites
 
 
 @dataclass(frozen=True, eq=False)

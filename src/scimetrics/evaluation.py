@@ -21,13 +21,12 @@ FILTER_MODES = ("all", "no_hyperauthors", "bottom_half_citations", "peak_in_wind
 
 
 class _Pair:
-    """A measure column and the award column it is judged against, each with
-    its `rankcorr.dense_ranks`.  The pair counts are built on first use and
-    shared by tau_b, somers_d and gamma."""
+    """A measure column's `rankcorr.dense_ranks`, all any criterion reads of
+    it, and the award column it is judged against with its ranks.  The pair
+    counts are built on first use and shared by tau_b, somers_d and gamma."""
 
     def __init__(self, measure_values, awards: np.ndarray, award_ranks: np.ndarray):
-        self.values = np.asarray(measure_values, dtype=float)
-        self.ranks = rankcorr.dense_ranks(self.values)
+        self.ranks = rankcorr.dense_ranks(measure_values)
         self.awards, self.award_ranks = awards, award_ranks
 
     @cached_property
@@ -38,7 +37,7 @@ class _Pair:
 # Each criterion's statistic of a _Pair.
 _STATISTICS = {
     "tau_b": lambda pair: pair.counts.tau_b(),
-    "auc": lambda pair: rankcorr.roc_curve(pair.values, pair.awards).auc,
+    "auc": lambda pair: rankcorr.roc_curve(pair.ranks, pair.awards).auc,
     "somers_d": lambda pair: pair.counts.somers_d(),
     "gamma": lambda pair: pair.counts.gamma(),
     "rho": lambda pair: rankcorr.spearman_rho_of_ranks(pair.ranks, pair.award_ranks),

@@ -283,10 +283,6 @@ _CACHE_DTYPES = {
     "event_year": np.int32,
     "event_count": np.int32,
 }
-_INT_COLUMNS = (
-    "starts", "effective_year", "author_count",
-    "event_start", "event_year", "event_count",
-)
 _CACHE_FAULTS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
 _STRINGS_AT_ONCE = 1 << 14
 
@@ -314,7 +310,7 @@ def _write_cache(
         "digest": (32, [digest]),
         "text": (sum(map(len, text)), text),
     }
-    for name in _INT_COLUMNS:
+    for name in _CACHE_DTYPES.keys() - members.keys():  # the integer columns
         column = getattr(arrays, name)
         members[name] = (len(column), [column])
     with zipfile.ZipFile(fh, "w") as zf:
@@ -670,19 +666,11 @@ def _csv_records(
     """The records of a CSV file after its header row, each as its list of
     fields with the number of the physical line it starts on.  A quoted
     field can hold line breaks, so a record can span lines, and empty lines
-    are skipped, so the count of records is not a line number.  A header
-    that repeats a name or is not exactly `columns`, in order, or a record
-    with more or fewer fields than the header, fails at its line; an empty
-    file has no records."""
-    start = []  # the first line the reader pulled since the last record
-
-    def lines() -> Iterator[str]:
-        for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
-            if not start and line.strip("\r\n"):
-                start.append(lineno)
-            yield line
-
-    reader = csv.reader(lines())
+    are empty rows, so a record starts on the line after the row before it
+    ends (`csv.reader.line_num`).  A header that repeats a name or is not
+    exactly `columns`, in order, or a record with more or fewer fields than
+    the header, fails at its line; an empty file has no records."""
+    reader = csv.reader(_utf8_lines(fh, path))
     header = next(reader, [])
     for i, name in enumerate(header):
         if name in header[:i]:
@@ -690,9 +678,11 @@ def _csv_records(
     if header and tuple(header) != columns:
         message = f"header {','.join(header)!r} is not {','.join(columns)!r}"
         raise ParseError(str(path), 1, message)
-    start.clear()
-    for row in filter(None, reader):
-        lineno = start.pop()
+    end = reader.line_num  # the last line of the row before
+    for row in reader:
+        lineno, end = end + 1, reader.line_num
+        if not row:
+            continue
         if len(row) != len(header):
             message = f"record has {len(row)} fields, header has {len(header)}"
             raise ParseError(str(path), lineno, message)
@@ -775,7 +765,8 @@ def save_corpus(corpus: AuthorCorpus, out_dir: str | Path) -> dict[str, Path]:
     """Write authors.jsonl, awards.csv and catalog.csv into `out_dir`, all
     or none (`write_files`); returns the paths.  The CSV text is encoded
     before any directory or file is made, and authors.jsonl is written a
-    block of authors at a time, so the write's peak memory is one block's."""
+    block of authors at a time, so the write's peak memory is one block's.
+    Columns that repeat a year within a paper are a ValueError."""
     out = Path(out_dir)
     paths = {
         "authors": out / "authors.jsonl",
@@ -845,7 +836,14 @@ def _author_lines(arrays: CorpusArrays, ids: list[str], ks: np.ndarray) -> str:
     rank = np.empty(len(keys), np.int64)
     rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
     pub = np.repeat(np.arange(len(pubs)), per_pub)
-    order = np.argsort(pub * len(keys) + rank[year], kind="stable")
+    key = pub * len(keys) + rank[year]
+    order = np.argsort(key, kind="stable")
+    # a "cites" object holds a year once; columns built directly may repeat it
+    repeats = order[1:][np.diff(key[order]) == 0]
+    if len(repeats):
+        i = repeats[0]
+        pub_id = arrays.pub_id[pubs[pub[i]]]
+        raise ValueError(f"{pub_id}: repeated citation year {keys[year[i]]}")
     # each distinct (year, count) pair formatted once; counts are >= 0
     pairs, which = np.unique(
         (year[order].astype(np.int64) << 32) + arrays.event_count[events[order]],

@@ -188,6 +188,23 @@ class TestEvaluate:
         assert rows[0] == ["year", "value", "n_authors"]
         assert len(rows) == 12
 
+    @pytest.mark.parametrize(
+        "settings",
+        [[], ["--corpus", "{corpus}"], ["--years", "2005:2006"]],
+        ids=["neither", "corpus-only", "years-only"],
+    )
+    def test_needs_corpus_and_years_or_a_manifest(
+        self, corpus_dir, tmp_path, capsys, settings
+    ):
+        out = tmp_path / "eval"
+        argv = [arg.format(corpus=corpus_dir) for arg in settings]
+        with pytest.raises(SystemExit) as exited:
+            main(["evaluate", *argv, "--out", str(out)])
+        assert exited.value.code == 2
+        message = "evaluate requires --corpus and --years (or --manifest)"
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert not out.exists()
+
     def test_values_match_library(self, corpus_dir, tmp_path):
         out = tmp_path / "eval"
         main(["evaluate", "--corpus", str(corpus_dir), "--measures", "h",
@@ -669,6 +686,12 @@ class TestSynthCommand:
             ('{"pubs_per_year": 1%s}' % ("0" * 400),
              "pubs_per_year must be a finite number, got 1%s" % ("0" * 400)),
             ('{"rng_seed": -1}', "rng_seed must be >= 0"),
+            ('{"start_year": 2010, "end_year": 2005}',
+             "start_year must not exceed end_year"),
+            ('{"latent_reputation": "g"}', "unknown latent score 'g'"),
+            ('{"classic_team_mean": 0.5}', "team means must be >= 1"),
+            ('{"growing_final_team_mean": 0}', "team means must be >= 1"),
+            ('{"awards_per_year": -1}', "awards_per_year must be >= 0"),
         ],
     )
     def test_config_it_cannot_use_names_the_key(self, tmp_path, capsys, text, message):

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from scimetrics.cli import main
-from scimetrics.corpus import AuthorCorpus, AuthorProfile, PublicationRecord
+from scimetrics.corpus import (
+    AuthorCorpus,
+    AuthorProfile,
+    AwardGrant,
+    CorpusArrays,
+    PublicationRecord,
+    citations_through,
+)
 from scimetrics.evaluation import (
     AWARD_MODES,
     FILTER_MODES,
@@ -104,3 +111,39 @@ def test_grants_for_an_author_not_in_the_columns_are_rejected():
     arrays = AuthorCorpus({"a1": AuthorProfile("a1", "A", "f", ())}).arrays
     with pytest.raises(ValueError, match="^grants for unknown author 'a2'$"):
         AuthorCorpus.from_columns(arrays, {"a2": []}, {})
+
+
+def test_grant_for_an_award_not_in_the_catalog_is_rejected():
+    arrays = AuthorCorpus({"a1": AuthorProfile("a1", "A", "f", ())}).arrays
+    with pytest.raises(ValueError, match="^a1: unknown award_id 'ghost'$"):
+        AuthorCorpus.from_columns(arrays, {"a1": [AwardGrant("ghost", 2000)]}, {})
+
+
+def papers_corpus(*papers):
+    """One author, a1, whose papers p1, p2, ... of 2000 have the citation
+    events each of `papers` lists as (year, count) pairs, as columns built
+    directly: unlike the loaders, these may repeat a year within a paper."""
+    events = [event for paper in papers for event in paper]
+    arrays = CorpusArrays(
+        index={"a1": 0}, names=["A"], fields=["f"],
+        starts=np.array([0, len(papers)]),
+        pub_id=[f"p{i}" for i in range(1, len(papers) + 1)],
+        effective_year=np.full(len(papers), 2000, dtype=np.int32),
+        author_count=np.ones(len(papers), dtype=np.int32),
+        event_start=np.cumsum([0, *map(len, papers)]),
+        event_year=np.array([year for year, _ in events], dtype=np.int32),
+        event_count=np.array([count for _, count in events], dtype=np.int32),
+    )
+    return AuthorCorpus.from_columns(arrays, {}, {})
+
+
+def test_profiles_sum_a_year_that_repeats_within_a_paper():
+    split = papers_corpus([(2001, 5), (2001, 3)])
+    assert citations_through(split.arrays, 0, 1, np.array([2001])).tolist() == [[8]]
+    (paper,) = split.authors["a1"].publications
+    assert paper.citations_by_year == {2001: 8}
+    assert split != papers_corpus([(2001, 3)])
+    assert split == papers_corpus([(2001, 8)])
+    # interleaved with another year, and beside a paper without repeats
+    mixed = papers_corpus([(2002, 1)], [(2001, 5), (2002, 2), (2001, 3)])
+    assert mixed == papers_corpus([(2002, 1)], [(2001, 8), (2002, 2)])

@@ -225,6 +225,31 @@ class TestAwardScores:
             AwardScheme(mode="selective_weight", selective_factor=factor)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: AwardScheme(mode="lottery"), "unknown award mode 'lottery'"),
+        (lambda: AuthorFilter(mode="tenured"), "unknown filter mode 'tenured'"),
+        (
+            lambda: AuthorFilter(mode="peak_in_window", window=(2010, 2010)),
+            "window start must precede end",
+        ),
+        (
+            lambda: AuthorFilter(mode="peak_in_window", window=(2010, 2005)),
+            "window start must precede end",
+        ),
+        (
+            lambda: evaluation.apply_criterion("tau_c", [1, 2, 3], [0, 1, 1]),
+            "unknown criterion 'tau_c'",
+        ),
+    ],
+    ids=["award-mode", "filter-mode", "empty-window", "reversed-window", "criterion"],
+)
+def test_unknown_name_or_window_not_ascending_rejected(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def kept_ids(corpus, year, author_filter):
     """The ids apply_filter keeps at `year`, read from its one row."""
     (row,) = apply_filter(corpus, [year], author_filter)

@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scimetrics.corpus import (
     AuthorCorpus,
@@ -24,6 +24,37 @@ from scimetrics.ingest import (
 )
 from scimetrics.synth import SynthConfig, generate
 from test_corpus import snapshot_citations
+
+
+@st.composite
+def catalog_with_a_long_record(draw):
+    """catalog.csv text and the physical line its long record starts on.
+    Fields may be quoted and hold line breaks, commas and quotes, empty
+    lines may come between records, every line ends in one drawn LF or
+    CRLF, and one record has a fourth field."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = st.text(alphabet='a,"\n', max_size=4)
+
+    def field(value: str) -> str:
+        if any(c in value for c in ',"\n') or draw(st.booleans()):
+            return '"' + value.replace('"', '""').replace("\n", newline) + '"'
+        return value
+
+    n = draw(st.integers(1, 5))
+    long = draw(st.integers(0, n - 1))
+    parts, line = ["award_id,name,total_laureates" + newline], 2
+    for i in range(n):
+        empty = draw(st.integers(0, 2))
+        parts.append(newline * empty)
+        line += empty
+        values = [f"id{i}{draw(text)}", draw(text), "1"]
+        if i == long:
+            values.append(draw(text))
+            start = line
+        record = ",".join(map(field, values))
+        parts.append(record + newline)
+        line += record.count(newline) + 1
+    return "".join(parts), start
 
 
 def load_publications(tmp_path, pubs):
@@ -471,8 +502,13 @@ class TestLoadCorpus:
                 'a1,"aw\nx",2000\n\na1,aw,20x0\n',
                 "bad award row: invalid literal for int() with base 10: '20x0'",
             ),
+            (
+                "catalog.csv",
+                'aw,"Two\nlines",5\n\nprize,Prize,0\n',
+                "bad catalog row: prize: total_laureates must be >= 1",
+            ),
         ],
-        ids=["catalog", "awards"],
+        ids=["catalog", "awards", "catalog-total"],
     )
     def test_csv_fault_names_the_physical_line(self, tmp_path, name, rows, message):
         # A quoted field spans lines 2-3 and line 4 is empty, so the third
@@ -490,6 +526,19 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match=re.escape(message)) as err:
             load_corpus(*paths)
         assert str(err.value).startswith(f"{tmp_path / name}:5: ")
+
+    @settings(max_examples=200, deadline=None)
+    @given(catalog_with_a_long_record())
+    def test_long_record_fails_at_its_first_physical_line(self, tmp_path_factory, case):
+        text, line = case
+        tmp_path = tmp_path_factory.mktemp("catalog")
+        (tmp_path / "authors.jsonl").write_text("")
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_bytes(text.encode())
+        message = "record has 4 fields, header has 3"
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            load_corpus(tmp_path / "authors.jsonl", catalog_path=catalog)
+        assert str(err.value).startswith(f"{catalog}:{line}: ")
 
     @pytest.mark.parametrize("name", ["authors.jsonl", "awards.csv", "catalog.csv"])
     def test_invalid_utf8_fails_with_location(self, tmp_path, name):

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -406,6 +407,27 @@ class TestRoc:
             roc_curve([3, 2, 1], [0, 0, 0])  # no awards
         with pytest.raises(DegenerateInputError):
             roc_curve([3, 2, 1], [1, 1, 2])  # no zero-award authors
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="^length mismatch$"):
+            roc_curve([3, 2, 1], [1, 0])
+
+    def test_ranks_give_the_curve_of_the_values(self):
+        # The curve sees only the measure's order and ties, which its dense
+        # ranks keep, so the criteria pass ranks in place of values.
+        rng = random.Random(11)
+        for _ in range(300):
+            values, awards = tied_columns(rng)
+            awards = [round(abs(a)) for a in awards]
+            ranks = dense_ranks(values)
+            try:
+                curve = roc_curve(values, awards)
+            except DegenerateInputError as exc:
+                with pytest.raises(DegenerateInputError, match=re.escape(str(exc))):
+                    roc_curve(ranks, awards)
+                continue
+            from_ranks = roc_curve(ranks, awards)
+            assert (from_ranks.points, from_ranks.auc) == (curve.points, curve.auc)
 
     def test_tie_break_is_input_order(self):
         # Constant measure: ranking equals input order.

@@ -144,6 +144,7 @@ class TestGenerate:
             ({"start_year": 2015, "end_year": 2019}, "award_start_year"),
             ({"start_year": 1940, "award_start_year": 1945}, "start_year"),
             ({"end_year": 2031}, "end_year"),
+            ({"start_year": 2010, "end_year": 2005}, "start_year"),
         ],
     )
     def test_rejects_years_it_cannot_serve(self, years, field):

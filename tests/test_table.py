@@ -20,7 +20,7 @@ from scimetrics.corpus import (
     snapshot_at,
 )
 from scimetrics.evaluation import FILTER_MODES, AuthorFilter, series_grid
-from scimetrics.indices import Measure, measure_columns, measure_table
+from scimetrics.indices import Measure, compute_measure, measure_columns, measure_table
 from scimetrics.ingest import load_corpus
 from scimetrics.synth import REGIMES, SynthConfig, generate
 from test_columns import tied_corpora
@@ -106,6 +106,11 @@ class TestMeasureTable:
         assert loaded.authors["a3"].publications[1].effective_year == 2003
         ids = ["a3", "a2", "a1"]
         assert_table_matches(loaded, list(range(1998, 2014)), ids)
+        # compute_measure, one author and measure at a time, reads the same
+        for year, layer in zip([2002, 2012], measure_table(loaded, [2002, 2012], ids, ALL)):
+            snap = snapshot_at(loaded, year)
+            one = [[compute_measure(a, snap, m) for a in ids] for m in ALL]
+            assert one == layer.tolist(), year
         assert_table_matches(loaded, [2001, 2004, 2012], ["a1", "a1", "a2"])
         assert_table_matches(loaded, [1950, 2003, 2030], ids)
 

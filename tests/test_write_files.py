@@ -12,6 +12,7 @@ from scimetrics.cli import main
 from scimetrics.corpus import AuthorCorpus, AwardCatalogEntry, AwardGrant
 from scimetrics.ingest import load_corpus, save_corpus
 from scimetrics.synth import SynthConfig, generate
+from test_columnar_corpus import papers_corpus
 
 ENOSPC = OSError(28, "No space left on device")
 
@@ -86,6 +87,25 @@ def test_unencodable_id_names_the_file_and_writes_nothing(tmp_path):
         "(surrogates not allowed)"
     )
     assert not out.exists()
+
+
+def test_save_refuses_a_year_that_repeats_within_a_paper(tmp_path):
+    # A "cites" object holds each year once, so these columns have no
+    # faithful authors.jsonl: nothing is written, and a corpus there stays.
+    repeated = papers_corpus(
+        [(2001, 2)], [], [(2003, 1), (2001, 5), (2002, 2), (2001, 3)]
+    )
+    message = "^p3: repeated citation year 2001$"
+    fresh = tmp_path / "fresh"
+    with pytest.raises(ValueError, match=message):
+        save_corpus(repeated, fresh)
+    assert files(fresh) == {}
+    out = tmp_path / "corpus"
+    save_corpus(generate(SynthConfig(rng_seed=1, n_authors=5)), out)
+    before = files(out)
+    with pytest.raises(ValueError, match=message):
+        save_corpus(repeated, out)
+    assert files(out) == before
 
 
 def test_command_that_cannot_write_one_output_leaves_none(
