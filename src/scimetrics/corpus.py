@@ -160,11 +160,9 @@ class AuthorCorpus:
 def _by_year(years: list[int], counts: list[int]) -> dict[int, int]:
     """Citation counts by year; columns built directly, unlike the loaders,
     may repeat a year within a paper, and its counts are then summed."""
-    cites = dict(zip(years, counts))
-    if len(cites) < len(years):
-        cites = dict.fromkeys(cites, 0)
-        for year, count in zip(years, counts):
-            cites[year] += count
+    cites = dict.fromkeys(years, 0)
+    for year, count in zip(years, counts):
+        cites[year] += count
     return cites
 
 

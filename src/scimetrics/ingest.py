@@ -669,24 +669,30 @@ def _csv_records(
     are empty rows, so a record starts on the line after the row before it
     ends (`csv.reader.line_num`).  A header that repeats a name or is not
     exactly `columns`, in order, or a record with more or fewer fields than
-    the header, fails at its line; an empty file has no records."""
+    the header, fails at its line, as does a row `csv` cannot read, such as
+    one with a field over `csv.field_size_limit()`; an empty file has no
+    records."""
     reader = csv.reader(_utf8_lines(fh, path))
-    header = next(reader, [])
-    for i, name in enumerate(header):
-        if name in header[:i]:
-            raise ParseError(str(path), 1, f"header repeats column {name!r}")
-    if header and tuple(header) != columns:
-        message = f"header {','.join(header)!r} is not {','.join(columns)!r}"
-        raise ParseError(str(path), 1, message)
-    end = reader.line_num  # the last line of the row before
-    for row in reader:
-        lineno, end = end + 1, reader.line_num
-        if not row:
-            continue
-        if len(row) != len(header):
-            message = f"record has {len(row)} fields, header has {len(header)}"
-            raise ParseError(str(path), lineno, message)
-        yield lineno, row
+    end = 0  # the last line of the row before
+    try:
+        header = next(reader, [])
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise ParseError(str(path), 1, f"header repeats column {name!r}")
+        if header and tuple(header) != columns:
+            message = f"header {','.join(header)!r} is not {','.join(columns)!r}"
+            raise ParseError(str(path), 1, message)
+        end = reader.line_num
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
+            if not row:
+                continue
+            if len(row) != len(header):
+                message = f"record has {len(row)} fields, header has {len(header)}"
+                raise ParseError(str(path), lineno, message)
+            yield lineno, row
+    except csv.Error as exc:
+        raise ParseError(str(path), end + 1, str(exc)) from None
 
 
 def load_catalog(path: str | Path) -> dict[str, AwardCatalogEntry]:

@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 import re
@@ -507,8 +508,13 @@ class TestLoadCorpus:
                 'aw,"Two\nlines",5\n\nprize,Prize,0\n',
                 "bad catalog row: prize: total_laureates must be >= 1",
             ),
+            (
+                "catalog.csv",
+                f'aw,"Two\nlines",5\n\nx,{"X" * (csv.field_size_limit() + 1)},1\n',
+                f"field larger than field limit ({csv.field_size_limit()})",
+            ),
         ],
-        ids=["catalog", "awards", "catalog-total"],
+        ids=["catalog", "awards", "catalog-total", "catalog-field-size"],
     )
     def test_csv_fault_names_the_physical_line(self, tmp_path, name, rows, message):
         # A quoted field spans lines 2-3 and line 4 is empty, so the third
